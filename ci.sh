@@ -39,6 +39,18 @@ FBUF_LEDGER_SHARDS=2 FBUF_LEDGER_CYCLES=2000 FBUF_BENCH_DIR=target/bench-reports
     cargo run --release -q -p fbuf-bench --bin fbuf-ledger
 test -s target/bench-reports/LEDGER_fleet.json
 
+# Stress smoke above the telemetry series cap: 16 paths on one shard
+# register more per-path and per-inbox gauges than the cap admits, and
+# the shard's batched-plane gauges (`ring_batch_occupancy`,
+# `notice_coalesce_factor`) must still be recorded. The report goes to
+# its own directory, which --check validates right away (it fails a
+# stress report that lacks either gauge). Runs before the scaling gates
+# below are exported: one thread has no scaling curve to gate.
+FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=16 FBUF_STRESS_THREADS=1 \
+    FBUF_BENCH_DIR=target/bench-reports/stress-16-paths \
+    cargo run --release -q -p fbuf-bench --bin fbuf-stress
+cargo run --release -q -p fbuf-bench --bin fbuf-stress -- --check target/bench-reports/stress-16-paths
+
 # Stress smoke test, single- and multi-shard: a small fixed op budget
 # must hold the §3.2.2 steady-state invariants *per shard* (fbuf-stress
 # exits nonzero otherwise), drive cross-shard payloads over the SPSC

@@ -295,8 +295,9 @@ fn run_shard(cfg: &FaninConfig, shard: usize, ranks: &[usize]) -> Result<ShardOu
     sys.set_quota_policy(cfg.policy);
     if shard == 0 {
         // Gauge telemetry from one shard is representative; the series
-        // registry's capacity bounds the per-path explosion by refusing
-        // (and counting) the excess.
+        // cap bounds the per-path and per-domain explosion by refusing
+        // (and counting) the excess names, while the fixed system
+        // gauges are always admitted.
         let m = sys.machine().metrics_ref();
         m.set_enabled(true);
         m.set_cadence(DEFAULT_CADENCE_NS);

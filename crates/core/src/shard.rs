@@ -42,11 +42,12 @@
 //! [`fleet_snapshot`] and [`fleet_trace`] fold those into the single
 //! coherent view a fleet-level report needs.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Barrier;
 use std::time::Instant;
 
-use fbuf_sim::metrics::{self, SeriesSnapshot};
+use fbuf_sim::metrics::{self, GaugeCache, SeriesSnapshot};
 use fbuf_sim::spsc::{self, Consumer, Producer};
 use fbuf_sim::{trace, EventKind, FaultSite, FaultSpec, MachineConfig, Ns, StatsSnapshot, TraceEvent};
 use fbuf_vm::DomainId;
@@ -231,6 +232,8 @@ pub struct Shard {
     /// dispatch), so the shard-only gauges (ring occupancy, burst size,
     /// coalescing factor) would starve if they waited on `Metrics::due`.
     next_shard_sample: std::cell::Cell<u64>,
+    /// Handles of the [`SHARD_GAUGES`], keyed by position.
+    gauges: RefCell<GaugeCache>,
     /// Measured-window activity counters (reset by
     /// [`Shard::reset_activity`] after warm-up).
     pub cycles: u64,
@@ -315,6 +318,7 @@ impl Shard {
             drain_buf: Vec::new(),
             last_drain: 0,
             next_shard_sample: std::cell::Cell::new(0),
+            gauges: RefCell::default(),
             cycles: 0,
             sent: 0,
             received: 0,
@@ -657,19 +661,24 @@ impl Shard {
             return;
         }
         self.next_shard_sample.set(now.0.saturating_add(m.cadence()));
-        if let Some(tx) = &links.data_tx {
-            m.sample(now, "ring.out", tx.len() as u64);
-        }
-        if let Some(rx) = &links.data_rx {
-            m.sample(now, "ring.in", rx.len() as u64);
-        }
-        m.sample(now, "egress_in_flight", self.pending.len() as u64);
-        m.sample(now, metrics::GAUGE_RING_BATCH_OCCUPANCY, self.last_drain);
         // Fixed-point hundredths: 100 = one token per flushed slot.
         let factor = (self.notice_tokens * 100)
             .checked_div(self.notice_batches)
             .unwrap_or(0);
-        m.sample(now, metrics::GAUGE_NOTICE_COALESCE_FACTOR, factor);
+        let values = [
+            links.data_tx.as_ref().map(|tx| tx.len() as u64),
+            links.data_rx.as_ref().map(|rx| rx.len() as u64),
+            Some(self.pending.len() as u64),
+            Some(self.last_drain),
+            Some(factor),
+        ];
+        let mut gauges = self.gauges.borrow_mut();
+        for (k, value) in values.into_iter().enumerate() {
+            if let Some(value) = value {
+                let g = gauges.get(m, k, |m| m.fixed_gauge(SHARD_GAUGES[k]));
+                m.record(now, g, value);
+            }
+        }
     }
 
     /// Zeroes the measured-window activity counters (after warm-up).
@@ -684,6 +693,18 @@ impl Shard {
         self.last_drain = 0;
     }
 }
+
+/// The shard's own gauges, in sampling order: the data rings to the
+/// next and from the previous shard, the egress buffers awaiting their
+/// notice, and the batched-plane gauges. Always admitted: the series
+/// cap bounds only the per-path and per-domain series.
+const SHARD_GAUGES: [&str; 5] = [
+    "ring.out",
+    "ring.in",
+    "egress_in_flight",
+    metrics::GAUGE_RING_BATCH_OCCUPANCY,
+    metrics::GAUGE_NOTICE_COALESCE_FACTOR,
+];
 
 /// Configuration of a shard fleet run. See [`run_fleet`].
 #[derive(Debug, Clone)]
@@ -1098,6 +1119,55 @@ mod tests {
             per_shard[shard_of_path(p, n)] += 1;
         }
         assert_eq!(per_shard, vec![4, 4, 4]);
+    }
+
+    #[test]
+    fn series_cap_admits_shard_gauges_and_refuses_only_per_path_names() {
+        // 16 local paths push the per-path and per-inbox names past the
+        // series cap; the shard's own gauges must still be recorded.
+        let mut sh = Shard::new(0, machine(), 16, 1);
+        let m = sh.sys.machine().metrics();
+        m.set_enabled(true);
+        sh.warm_local();
+        let links = Links::default();
+        for _ in 0..256 {
+            sh.local_cycle();
+            sh.sample_telemetry(&links);
+        }
+        let series = m.series();
+        let names: Vec<&str> = series.iter().map(|s| s.name.as_str()).collect();
+        // Without rings only the three ring-independent shard gauges
+        // apply; each was recorded on every shard sample.
+        let shard_gauges = &SHARD_GAUGES[2..];
+        for g in shard_gauges {
+            let s = series.iter().find(|s| s.name == *g);
+            assert!(s.is_some_and(|s| !s.points.is_empty()), "{g} recorded");
+        }
+        assert_eq!(
+            series.len(),
+            5 + metrics::DEFAULT_MAX_SERIES + shard_gauges.len()
+        );
+        assert_eq!(
+            &names[..5],
+            [
+                "live_fbufs",
+                "parked_fbufs",
+                "engine_pending",
+                "overload_drops",
+                "free_chunks"
+            ]
+        );
+
+        // Every refusal is a per-path or per-inbox name: each system
+        // sample refuses exactly the names that did not fit.
+        let paths = (0..)
+            .take_while(|&i| sh.sys.path(PathId(i)).is_ok())
+            .count();
+        let wanted = 3 * paths + sh.sys.machine().domain_count();
+        let admitted = metrics::DEFAULT_MAX_SERIES;
+        let samples = series[0].points.len() as u64 + series[0].dropped;
+        assert!(wanted > admitted, "the shape overflows the cap");
+        assert_eq!(m.refused_names(), samples * (wanted - admitted) as u64);
     }
 
     #[test]

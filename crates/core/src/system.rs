@@ -33,10 +33,12 @@
 //!   [`FbufSystem::reclaim_frames`] pops victims lazily instead of
 //!   materializing a global victim vector.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use fbuf_ipc::Rpc;
+use fbuf_sim::metrics::GaugeCache;
 use fbuf_sim::{
     slot_of, Arena, CostCategory, EventKind, FaultPlan, FaultSite, MachineConfig, Ns, Stats,
 };
@@ -187,6 +189,33 @@ pub struct FbufSystem {
     /// the engine ([`FbufSystem::submit_transfer`]); `None` disables
     /// timeout-driven reclaim.
     pub(crate) revoke_timeout: Option<Ns>,
+    /// Telemetry handles of [`FbufSystem::sample_gauges_at`].
+    gauges: RefCell<SystemGauges>,
+}
+
+/// The system-wide gauges, in sampling order (always admitted: the
+/// series cap bounds only the per-path and per-domain series).
+const SYSTEM_GAUGES: [&str; 5] = [
+    "live_fbufs",
+    "parked_fbufs",
+    "engine_pending",
+    "overload_drops",
+    "free_chunks",
+];
+
+/// The per-path gauges, sampled as `path<i>.<gauge>`.
+const PATH_GAUGES: [&str; 3] = ["parked", "chunks", "threshold"];
+
+/// Gauge handles [`FbufSystem::sample_gauges_at`] caches across samples,
+/// each resolved on the first sample that sees its gauge.
+#[derive(Debug, Default)]
+struct SystemGauges {
+    /// [`SYSTEM_GAUGES`], keyed by position.
+    fixed: GaugeCache,
+    /// [`PATH_GAUGES`] of path slot `i`, keyed `3 * i + k`.
+    paths: GaugeCache,
+    /// `inbox<d>`, keyed by domain slot `d`.
+    inboxes: GaugeCache,
 }
 
 /// Free-list reuse order (see [`FbufSystem::reuse_policy`]).
@@ -326,6 +355,7 @@ impl FbufSystem {
             jail_progress: Vec::new(),
             jail_strikes: Vec::new(),
             revoke_timeout: None,
+            gauges: RefCell::default(),
         };
         let kernel = fbuf_vm::KERNEL_DOMAIN;
         sys.machine
@@ -447,42 +477,57 @@ impl FbufSystem {
         self.sample_gauges_at(now);
     }
 
-    /// Records every system gauge at `now`, unconditionally. Callers
-    /// that own the cadence (the shard loop, which adds ring-occupancy
-    /// gauges of its own) use this directly; everyone else goes through
-    /// [`FbufSystem::sample_metrics`].
+    /// Records every system gauge at `now`, unconditionally (while
+    /// the metrics are enabled). Callers that own the cadence (the
+    /// shard loop, which adds ring-occupancy gauges of its own) use this
+    /// directly; everyone else goes through
+    /// [`FbufSystem::sample_metrics`]. Each gauge is registered on the
+    /// first sample that sees it; after that a sample formats no name
+    /// and searches no table.
     pub fn sample_gauges_at(&self, now: Ns) {
         let m = self.machine.metrics_ref();
-        m.sample(now, "live_fbufs", self.fbufs.len() as u64);
-        m.sample(now, "parked_fbufs", self.parked_count);
-        m.sample(
-            now,
-            "engine_pending",
-            self.engine.as_ref().map_or(0, fbuf_ipc::EventLoop::pending) as u64,
-        );
-        m.sample(now, "overload_drops", self.machine.stats_ref().overload_drops());
+        if !m.is_enabled() {
+            return;
+        }
+        let mut gauges = self.gauges.borrow_mut();
+        let SystemGauges {
+            fixed,
+            paths,
+            inboxes,
+        } = &mut *gauges;
         let free = self.chunk_alloc.available();
+        let system = [
+            self.fbufs.len() as u64,
+            self.parked_count,
+            self.engine.as_ref().map_or(0, fbuf_ipc::EventLoop::pending) as u64,
+            self.machine.stats_ref().overload_drops(),
+            free,
+        ];
+        for (k, value) in system.into_iter().enumerate() {
+            let g = fixed.get(m, k, |m| m.fixed_gauge(SYSTEM_GAUGES[k]));
+            m.record(now, g, value);
+        }
         let quota = self.machine.config().max_chunks_per_path;
-        m.sample(now, "free_chunks", free);
         for (i, p) in self.paths.iter().enumerate() {
             if p.live {
-                m.sample(now, &format!("path{i}.parked"), p.parked() as u64);
-                m.sample(now, &format!("path{i}.chunks"), self.path_chunks(p.id) as u64);
-                m.sample(
-                    now,
-                    &format!("path{i}.threshold"),
+                let values = [
+                    p.parked() as u64,
+                    self.path_chunks(p.id) as u64,
                     self.policy.threshold(free, quota, self.path_class(p.id)),
-                );
+                ];
+                for (k, value) in values.into_iter().enumerate() {
+                    let g = paths.get(m, 3 * i + k, |m| {
+                        m.gauge(&format!("path{i}.{}", PATH_GAUGES[k]))
+                    });
+                    m.record(now, g, value);
+                }
             }
         }
         if let Some(e) = &self.engine {
             for d in 0..self.registered.len() {
                 if self.registered[d] {
-                    m.sample(
-                        now,
-                        &format!("inbox{d}"),
-                        e.inbox_len(DomainId(d as u32)) as u64,
-                    );
+                    let g = inboxes.get(m, d, |m| m.gauge(&format!("inbox{d}")));
+                    m.record(now, g, e.inbox_len(DomainId(d as u32)) as u64);
                 }
             }
         }

@@ -640,9 +640,10 @@ mod tests {
         // [t, v] points in sampling order.
         let m = metrics::Metrics::new();
         m.set_enabled(true);
-        m.sample(crate::Ns(10), "inbox0", 3);
+        let inbox0 = m.gauge("inbox0");
+        m.record(crate::Ns(10), inbox0, 3);
         m.advance(crate::Ns(20_000));
-        m.sample(crate::Ns(20_000), "inbox0", 5);
+        m.record(crate::Ns(20_000), inbox0, 5);
         let mut r = BenchRunner::named("with_telemetry", 1);
         r.measure("x", Unit::SimUs, || 1.0);
         r.telemetry(metrics::DEFAULT_CADENCE_NS, &m.series());

@@ -10,11 +10,16 @@
 //! Instrumented code polls [`Metrics::due`] at natural checkpoints
 //! (allocation, hop dispatch, ring polls); when the simulated clock has
 //! passed the next sample deadline, it records one gauge reading per
-//! series and calls [`Metrics::advance`]. Each named series is a
-//! **fixed-capacity ring**: when full, the oldest point is dropped and
-//! counted, so a long workload keeps a bounded recent window rather
-//! than growing without limit — exactly the trace-ring policy, applied
-//! to gauges.
+//! series and calls [`Metrics::advance`]. A gauge is **registered once**
+//! ([`Metrics::gauge`] / [`Metrics::fixed_gauge`]) and recorded by its
+//! dense [`Gauge`] handle ([`Metrics::record`]): an index and a ring
+//! push, with no name formatting or lookup on the sampling path.
+//! Samplers keep their handles in a [`GaugeCache`], which resolves each
+//! one on the first sample that sees the gauge, so series keep their
+//! first-seen order. Each series is a **bounded ring**: it grows to
+//! its capacity, then the oldest point is dropped and counted, so a
+//! long workload keeps a bounded recent window rather than growing
+//! without limit — exactly the trace-ring policy, applied to gauges.
 //!
 //! Per-shard series are folded fleet-wide by [`merge_shards`] (names
 //! prefixed `s<shard>.`, each shard's clock is independent) and
@@ -36,9 +41,14 @@ pub const DEFAULT_CADENCE_NS: u64 = 10_000;
 /// Default points retained per series before the ring evicts.
 pub const DEFAULT_POINTS: usize = 4_096;
 
-/// Default cap on distinct series names (beyond it, new names are
-/// counted as dropped rather than allocated).
+/// Default cap on per-path and per-domain series ([`Metrics::gauge`]):
+/// once this many exist, a new name is refused and counted rather than
+/// allocated. Fixed gauges ([`Metrics::fixed_gauge`]) do not count
+/// against it and are always admitted.
 pub const DEFAULT_MAX_SERIES: usize = 64;
+
+/// Sentinel slot of a handle the series cap refused.
+const REFUSED: u32 = u32::MAX;
 
 /// Well-known gauge: size of the last non-empty burst a shard drained
 /// from its ingress data ring in one acquire (`Consumer::drain_into`).
@@ -51,6 +61,25 @@ pub const GAUGE_RING_BATCH_OCCUPANCY: &str = "ring_batch_occupancy";
 /// per slot, 800 = eight tokens coalesced into each slot). Tracks how
 /// much reverse-ring traffic the coalescing plane saves.
 pub const GAUGE_NOTICE_COALESCE_FACTOR: &str = "notice_coalesce_factor";
+
+/// A registered gauge: a dense index into its [`Metrics`] series table,
+/// valid until the next [`Metrics::clear`]. `Copy`, so a sampler caches
+/// it (see [`GaugeCache`]) and records by index from then on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gauge {
+    /// Series index, or [`REFUSED`] when the cap turned the name away.
+    slot: u32,
+    /// The [`Metrics`] epoch the handle was resolved in.
+    epoch: u32,
+}
+
+impl Gauge {
+    /// Whether the series cap refused this gauge (recording it only
+    /// counts `refused_names`).
+    fn is_refused(self) -> bool {
+        self.slot == REFUSED
+    }
+}
 
 /// One gauge reading: simulated time and value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,10 +113,34 @@ struct SeriesRing {
 #[derive(Debug)]
 struct MetricsInner {
     cap: usize,
+    /// Cap on `capped`.
     max_series: usize,
-    /// Series names refused because `max_series` was reached.
+    /// Series registered through [`Metrics::gauge`].
+    capped: usize,
+    /// Records into gauges refused because `max_series` was reached.
     refused_names: u64,
     series: Vec<SeriesRing>,
+}
+
+impl MetricsInner {
+    /// The handle of `name` in `epoch`: its existing series, a new one,
+    /// or a refusal when `capped` and the cap is reached.
+    fn register(&mut self, name: &str, capped: bool, epoch: u32) -> Gauge {
+        let slot = match self.series.iter().position(|s| s.name == name) {
+            Some(i) => i as u32,
+            None if capped && self.capped >= self.max_series => REFUSED,
+            None => {
+                self.capped += usize::from(capped);
+                self.series.push(SeriesRing {
+                    name: name.to_string(),
+                    dropped: 0,
+                    points: VecDeque::new(),
+                });
+                (self.series.len() - 1) as u32
+            }
+        };
+        Gauge { slot, epoch }
+    }
 }
 
 #[derive(Debug)]
@@ -95,6 +148,9 @@ struct MetricsShared {
     enabled: Cell<bool>,
     cadence: Cell<u64>,
     next: Cell<u64>,
+    /// Bumped by [`Metrics::clear`]; handles from an older epoch are
+    /// stale.
+    epoch: Cell<u32>,
     inner: RefCell<MetricsInner>,
 }
 
@@ -109,8 +165,9 @@ struct MetricsShared {
 /// let m = Metrics::new();
 /// assert!(!m.due(Ns(0)), "disabled: never due");
 /// m.set_enabled(true);
+/// let live = m.gauge("live_fbufs");
 /// if m.due(Ns(0)) {
-///     m.sample(Ns(0), "live_fbufs", 3);
+///     m.record(Ns(0), live, 3);
 ///     m.advance(Ns(0));
 /// }
 /// assert!(!m.due(Ns(5_000)), "cadence not yet elapsed");
@@ -135,9 +192,11 @@ impl Metrics {
                 enabled: Cell::new(false),
                 cadence: Cell::new(DEFAULT_CADENCE_NS),
                 next: Cell::new(0),
+                epoch: Cell::new(0),
                 inner: RefCell::new(MetricsInner {
                     cap: DEFAULT_POINTS,
                     max_series: DEFAULT_MAX_SERIES,
+                    capped: 0,
                     refused_names: 0,
                     series: Vec::new(),
                 }),
@@ -151,6 +210,7 @@ impl Metrics {
     }
 
     /// Whether gauges are currently sampled.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.shared.enabled.get()
     }
@@ -178,36 +238,51 @@ impl Metrics {
         self.shared.next.set(now.0.saturating_add(self.shared.cadence.get()));
     }
 
-    /// Records one gauge reading into the named series (created on
-    /// first use, up to the series cap). No-op while disabled.
-    pub fn sample(&self, now: Ns, name: &str, value: u64) {
-        if !self.shared.enabled.get() {
+    /// Registers a per-path or per-domain gauge: the handle of `name`'s
+    /// series, created (empty) on first registration while fewer than
+    /// the series cap of such series exist. Past the cap the handle is
+    /// refused, and every [`record`](Metrics::record) into it counts
+    /// one [`refused_names`](Metrics::refused_names).
+    pub fn gauge(&self, name: &str) -> Gauge {
+        let epoch = self.shared.epoch.get();
+        self.shared.inner.borrow_mut().register(name, true, epoch)
+    }
+
+    /// Registers a fixed gauge — one of a static set of names, such as
+    /// the system-wide and shard gauges. Fixed gauges are exempt from
+    /// the series cap, so the per-path explosion can never crowd them
+    /// out.
+    pub fn fixed_gauge(&self, name: &str) -> Gauge {
+        let epoch = self.shared.epoch.get();
+        self.shared.inner.borrow_mut().register(name, false, epoch)
+    }
+
+    /// Records one gauge reading by handle: an index and a ring push.
+    /// No-op while disabled, and for a handle resolved before the last
+    /// [`clear`](Metrics::clear) (it never writes into a stale index).
+    #[inline]
+    pub fn record(&self, now: Ns, gauge: Gauge, value: u64) {
+        if !self.shared.enabled.get() || gauge.epoch != self.shared.epoch.get() {
             return;
         }
         let mut inner = self.shared.inner.borrow_mut();
-        let cap = inner.cap;
-        match inner.series.iter_mut().find(|s| s.name == name) {
-            Some(s) => {
-                if s.points.len() == cap {
-                    s.points.pop_front();
-                    s.dropped += 1;
-                }
-                s.points.push_back(MetricPoint { at: now, value });
-            }
-            None => {
-                if inner.series.len() >= inner.max_series {
-                    inner.refused_names += 1;
-                    return;
-                }
-                let mut points = VecDeque::new();
-                points.push_back(MetricPoint { at: now, value });
-                inner.series.push(SeriesRing {
-                    name: name.to_string(),
-                    dropped: 0,
-                    points,
-                });
-            }
+        if gauge.is_refused() {
+            inner.refused_names += 1;
+            return;
         }
+        let cap = inner.cap;
+        let s = &mut inner.series[gauge.slot as usize];
+        if s.points.len() == cap {
+            s.points.pop_front();
+            s.dropped += 1;
+        }
+        s.points.push_back(MetricPoint { at: now, value });
+    }
+
+    /// The registration epoch: bumped by every [`clear`](Metrics::clear).
+    #[inline]
+    fn epoch(&self) -> u32 {
+        self.shared.epoch.get()
     }
 
     /// Resizes every series ring (evicting oldest points if shrinking).
@@ -223,7 +298,7 @@ impl Metrics {
         }
     }
 
-    /// Series names refused because the series cap was reached.
+    /// Records into gauges the series cap refused.
     pub fn refused_names(&self) -> u64 {
         self.shared.inner.borrow().refused_names
     }
@@ -243,19 +318,58 @@ impl Metrics {
             .collect()
     }
 
-    /// Discards every series and re-arms the sample deadline at zero
-    /// (keeps enablement, cadence, and capacities).
+    /// Discards every series, invalidates every handle (bumps the
+    /// epoch), and re-arms the sample deadline at zero (keeps
+    /// enablement, cadence, and capacities).
     pub fn clear(&self) {
         let mut inner = self.shared.inner.borrow_mut();
         inner.series.clear();
+        inner.capped = 0;
         inner.refused_names = 0;
         drop(inner);
+        self.shared.epoch.set(self.shared.epoch.get().wrapping_add(1));
         self.shared.next.set(0);
     }
 
     /// This metric set rendered as a `telemetry` block.
     pub fn to_json(&self) -> Json {
         telemetry_json(self.cadence(), &self.series())
+    }
+}
+
+/// Gauge handles a sampler caches across samples, keyed by a dense
+/// local index (a fixed gauge's position, a path or domain slot).
+/// Each handle is resolved on the first sample that sees its gauge, so
+/// series keep their first-seen order; a [`Metrics::clear`] invalidates
+/// them all at once, and they are re-resolved on next use.
+#[derive(Debug, Default)]
+pub struct GaugeCache {
+    epoch: u32,
+    handles: Vec<Option<Gauge>>,
+}
+
+impl GaugeCache {
+    /// The handle cached under `key`, resolved by `register` if this
+    /// cache has none for the current epoch of `m`.
+    pub fn get(
+        &mut self,
+        m: &Metrics,
+        key: usize,
+        register: impl FnOnce(&Metrics) -> Gauge,
+    ) -> Gauge {
+        if self.epoch != m.epoch() {
+            self.epoch = m.epoch();
+            self.handles.clear();
+        }
+        if let Some(Some(g)) = self.handles.get(key) {
+            return *g;
+        }
+        let g = register(m);
+        if self.handles.len() <= key {
+            self.handles.resize(key + 1, None);
+        }
+        self.handles[key] = Some(g);
+        g
     }
 }
 
@@ -309,8 +423,9 @@ mod tests {
     fn disabled_metrics_record_nothing_and_are_never_due() {
         let m = Metrics::new();
         assert!(!m.due(Ns(u64::MAX / 2)));
-        m.sample(Ns(0), "x", 1);
-        assert!(m.series().is_empty());
+        let g = m.gauge("x");
+        m.record(Ns(0), g, 1);
+        assert!(m.series()[0].points.is_empty());
     }
 
     #[test]
@@ -318,12 +433,13 @@ mod tests {
         let m = Metrics::new();
         m.set_enabled(true);
         m.set_cadence(1_000);
+        let g = m.gauge("g");
         assert!(m.due(Ns(0)));
-        m.sample(Ns(0), "g", 1);
+        m.record(Ns(0), g, 1);
         m.advance(Ns(0));
         assert!(!m.due(Ns(999)));
         assert!(m.due(Ns(1_000)));
-        m.sample(Ns(1_000), "g", 2);
+        m.record(Ns(1_000), g, 2);
         m.advance(Ns(1_000));
         let s = &m.series()[0];
         assert_eq!(s.points.len(), 2);
@@ -336,8 +452,9 @@ mod tests {
         let m = Metrics::new();
         m.set_enabled(true);
         m.set_capacity(2);
+        let g = m.gauge("g");
         for i in 0..5u64 {
-            m.sample(Ns(i), "g", i);
+            m.record(Ns(i), g, i);
         }
         let s = &m.series()[0];
         assert_eq!(s.dropped, 3);
@@ -349,14 +466,92 @@ mod tests {
     fn series_cap_refuses_new_names() {
         let m = Metrics::new();
         m.set_enabled(true);
-        {
-            let mut inner = m.shared.inner.borrow_mut();
-            inner.max_series = 1;
+        m.shared.inner.borrow_mut().max_series = 1;
+        // Fixed gauges neither count against the cap nor are refused
+        // by it, before or after it fills.
+        let f = m.fixed_gauge("f");
+        let a = m.gauge("a");
+        let b = m.gauge("b");
+        let g = m.fixed_gauge("g");
+        assert!(!f.is_refused() && !a.is_refused() && !g.is_refused());
+        assert!(b.is_refused());
+        // A refused handle counts once per record, like a refused name
+        // used to count once per sample.
+        for t in 0..3 {
+            for h in [f, a, b, g] {
+                m.record(Ns(t), h, t);
+            }
         }
-        m.sample(Ns(0), "a", 1);
-        m.sample(Ns(0), "b", 2);
-        assert_eq!(m.series().len(), 1);
-        assert_eq!(m.refused_names(), 1);
+        assert_eq!(m.refused_names(), 3);
+        let got: Vec<(String, usize)> = m
+            .series()
+            .into_iter()
+            .map(|s| (s.name, s.points.len()))
+            .collect();
+        assert_eq!(got, [("f".into(), 3), ("a".into(), 3), ("g".into(), 3)]);
+    }
+
+    #[test]
+    fn reregistration_keeps_first_seen_order() {
+        let m = Metrics::new();
+        m.set_enabled(true);
+        let a = m.gauge("a");
+        let b = m.fixed_gauge("b");
+        // Registering a known name, under either kind, returns its
+        // existing handle rather than a second series.
+        assert_eq!(m.gauge("b"), b);
+        assert_eq!(m.fixed_gauge("a"), a);
+        m.record(Ns(0), b, 1);
+        m.record(Ns(0), a, 2);
+        let names: Vec<String> = m.series().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["a", "b"]);
+    }
+
+    #[test]
+    fn stale_handles_never_write_after_clear() {
+        let m = Metrics::new();
+        m.set_enabled(true);
+        let x = m.gauge("x");
+        m.record(Ns(0), x, 1);
+        m.clear();
+        // "y" now owns the slot `x` used to name; `x` must not reach it.
+        let y = m.gauge("y");
+        assert_eq!(y.slot, x.slot);
+        m.record(Ns(1), x, 99);
+        let series = m.series();
+        assert_eq!(series.len(), 1);
+        assert_eq!(series[0].name, "y");
+        assert!(series[0].points.is_empty());
+        assert_eq!(m.refused_names(), 0);
+    }
+
+    #[test]
+    fn cache_resolves_once_per_epoch_in_first_seen_order() {
+        let m = Metrics::new();
+        m.set_enabled(true);
+        let mut cache = GaugeCache::default();
+        let registrations = Cell::new(0);
+        let sample = |cache: &mut GaugeCache, t: u64| {
+            for (key, name) in [(1, "x"), (0, "y")] {
+                let g = cache.get(&m, key, |m| {
+                    registrations.set(registrations.get() + 1);
+                    m.gauge(name)
+                });
+                m.record(Ns(t), g, t);
+            }
+        };
+        sample(&mut cache, 1);
+        sample(&mut cache, 2);
+        assert_eq!(registrations.get(), 2, "resolved on first sight only");
+        m.clear();
+        sample(&mut cache, 3);
+        assert_eq!(registrations.get(), 4, "a clear forces re-resolution");
+        let got: Vec<(String, Vec<u64>)> = m
+            .series()
+            .into_iter()
+            .map(|s| (s.name, s.points.iter().map(|p| p.value).collect()))
+            .collect();
+        assert_eq!(got, [("x".into(), vec![3]), ("y".into(), vec![3])]);
     }
 
     #[test]
@@ -382,7 +577,7 @@ mod tests {
     fn telemetry_block_round_trips_through_parser() {
         let m = Metrics::new();
         m.set_enabled(true);
-        m.sample(Ns(5), "live", 2);
+        m.record(Ns(5), m.gauge("live"), 2);
         let rendered = m.to_json().render();
         let parsed = Json::parse(&rendered).expect("telemetry parses");
         assert!(parsed.get("cadence_ns").and_then(Json::as_f64).is_some());

@@ -2,8 +2,10 @@
 //! merged fleet traces, the Chrome export schema, causal span
 //! propagation across shard rings, and per-tenant ledger conservation.
 
-use fbufs::fbuf::shard::{fleet_ledger, fleet_trace, run_fleet, FleetConfig};
+use fbufs::fbuf::shard::{fleet_ledger, fleet_telemetry, fleet_trace, run_fleet, FleetConfig};
 use fbufs::fbuf::{AllocMode, FbufSystem, SendMode};
+use fbufs::net::{LoopbackConfig, LoopbackStack};
+use fbufs::sim::metrics::{telemetry_json, DEFAULT_CADENCE_NS};
 use fbufs::sim::spans::reconstruct;
 use fbufs::sim::{EventKind, Json, MachineConfig, StatsSnapshot};
 
@@ -182,4 +184,61 @@ fn fleet_ledger_conserves_against_whole_life_counters() {
     assert!(ledger.totals().bytes > 0);
     // Telemetry rode along: the metrics flag filled per-shard series.
     assert!(reports.iter().all(|r| !r.telemetry.is_empty()));
+}
+
+/// A rendered telemetry block reduced to a pinnable fingerprint: its
+/// length, its FNV-1a 64 hash, and its series names in order.
+fn fingerprint(rendered: &str, names: Vec<String>) -> (usize, u64, usize) {
+    let hash = rendered.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (rendered.len(), hash, names.len())
+}
+
+/// The telemetry block of a telemetry-on cached three-domain loopback
+/// run: system gauges only, one path, three domains.
+fn loopback_telemetry() -> (usize, u64, usize) {
+    let mut cfg = MachineConfig::decstation_5000_200();
+    cfg.phys_mem = 24 << 20;
+    let mut s = LoopbackStack::new(cfg, LoopbackConfig::paper(true, true));
+    s.fbs.machine().metrics_ref().set_enabled(true);
+    for _ in 0..8 {
+        s.send_message(32 << 10, false).unwrap();
+    }
+    let m = s.fbs.machine().metrics_ref();
+    let names = m.series().into_iter().map(|s| s.name).collect();
+    fingerprint(&m.to_json().render(), names)
+}
+
+/// The merged telemetry block of a 2-shard fleet at 2 paths per shard
+/// (under the series cap), with `cross_every` cycles between payloads.
+/// Cross-shard traffic makes ring occupancy depend on thread timing, so
+/// a multi-shard pin runs without it; a 1-shard fleet feeds itself
+/// deterministically and pins the ring gauges too.
+fn fleet_telemetry_block(shards: usize, cross_every: u64) -> (usize, u64, usize) {
+    let reports = run_fleet(&FleetConfig {
+        metrics: true,
+        cross_every,
+        paths: 2 * shards,
+        ..FleetConfig::new(shards, fleet_machine(), 600)
+    });
+    let merged = fleet_telemetry(&reports);
+    let names = merged.iter().map(|s| s.name.clone()).collect();
+    fingerprint(&telemetry_json(DEFAULT_CADENCE_NS, &merged).render(), names)
+}
+
+#[test]
+fn telemetry_blocks_match_their_golden_fingerprints() {
+    // Golden values captured before gauges were registered behind
+    // handles: (rendered length, FNV-1a 64, series count). A change to
+    // the sampler must leave every point, name, and order unmoved.
+    assert_eq!(loopback_telemetry(), (3883, 8571366519680822611, 12));
+    assert_eq!(
+        fleet_telemetry_block(2, 0),
+        (256631, 14841840978550178102, 64)
+    );
+    assert_eq!(
+        fleet_telemetry_block(1, 4),
+        (344764, 14698316931145641937, 34)
+    );
 }
