@@ -41,18 +41,11 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fbuf::{AllocMode, FbufError, FbufId, FbufSystem, JailConfig, PathId, TransferMode};
+use fbuf::{AllocMode, FbufError, FbufId, FbufSystem, JailConfig, PathId};
+use fbuf_bench::knobs;
 use fbuf_sim::bench::{BenchRunner, Unit};
 use fbuf_sim::{Json, MachineConfig, Ns, ToJson};
 use fbuf_vm::DomainId;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 struct Config {
     tenants: usize,
@@ -97,7 +90,6 @@ fn containment() -> JailConfig {
 
 fn run(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
     let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
-    sys.set_transfer_mode(TransferMode::EventLoop);
     sys.set_jail(Some(containment()));
     // 800 µs: far above a drained benign hop's queueing delay, far
     // below what a deliberately un-pumped 16-transfer burst at the
@@ -234,9 +226,9 @@ fn run(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
 
 fn main() -> ExitCode {
     let cfg = Config {
-        tenants: env_u64("FBUF_ADV_TENANTS", 8) as usize,
-        rounds: env_u64("FBUF_ADV_ROUNDS", 64),
-        pages: env_u64("FBUF_ADV_PAGES", 2),
+        tenants: knobs::count("FBUF_ADV_TENANTS", 8) as usize,
+        rounds: knobs::count("FBUF_ADV_ROUNDS", 64),
+        pages: knobs::count("FBUF_ADV_PAGES", 2),
     };
     println!(
         "== fbuf-adversary: {} benign tenant(s) × {} round(s) × {} page(s) vs 3 hostile personas ==",

@@ -39,25 +39,10 @@ use std::time::Instant;
 
 use fbuf::QuotaPolicy;
 use fbuf_bench::fanin::{run_fanin, FaninConfig, FaninReport};
+use fbuf_bench::knobs;
 use fbuf_sim::bench::{BenchRunner, Unit};
 use fbuf_sim::metrics::DEFAULT_CADENCE_NS;
 use fbuf_sim::{Json, Ns, ToJson};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|n: &f64| n.is_finite() && *n >= 0.0)
-        .unwrap_or(default)
-}
 
 /// `FBUF_FANIN_POLICY` as a policy list; `all` (default) sweeps the
 /// three families in a fixed order.
@@ -79,7 +64,7 @@ fn policies() -> Result<Vec<QuotaPolicy>, String> {
 }
 
 fn main() -> ExitCode {
-    let seed = env_u64("FBUF_FANIN_SEED", 0xfa21);
+    let seed = knobs::count("FBUF_FANIN_SEED", 0xfa21);
     let policies = match policies() {
         Ok(p) => p,
         Err(e) => {
@@ -89,13 +74,13 @@ fn main() -> ExitCode {
     };
 
     let mut base = FaninConfig::new(QuotaPolicy::Static, seed);
-    base.flows = env_u64("FBUF_FANIN_FLOWS", base.flows as u64) as usize;
-    base.paths = env_u64("FBUF_FANIN_PATHS", base.paths as u64) as usize;
-    base.shards = env_u64("FBUF_FANIN_SHARDS", base.shards as u64) as usize;
-    base.steps = env_u64("FBUF_FANIN_STEPS", base.steps);
-    base.zipf_s = env_f64("FBUF_FANIN_SKEW", base.zipf_s);
+    base.flows = knobs::count("FBUF_FANIN_FLOWS", base.flows as u64) as usize;
+    base.paths = knobs::count("FBUF_FANIN_PATHS", base.paths as u64) as usize;
+    base.shards = knobs::count("FBUF_FANIN_SHARDS", base.shards as u64) as usize;
+    base.steps = knobs::count("FBUF_FANIN_STEPS", base.steps);
+    base.zipf_s = knobs::read("FBUF_FANIN_SKEW", knobs::parse_f64).unwrap_or(base.zipf_s);
     base.machine.max_chunks_per_path =
-        env_u64("FBUF_FANIN_QUOTA", base.machine.max_chunks_per_path as u64) as usize;
+        knobs::count("FBUF_FANIN_QUOTA", base.machine.max_chunks_per_path as u64) as usize;
     if base.paths < base.shards {
         eprintln!(
             "fbuf-fanin FAILED: {} paths cannot cover {} shards",

@@ -29,20 +29,8 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use fbuf_bench::knobs;
 use fbuf_model::fuzz;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| {
-            let s = s.trim();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
-        })
-        .unwrap_or(default)
-}
 
 fn replay_dir(dir: &Path) -> ExitCode {
     let mut entries: Vec<_> = match std::fs::read_dir(dir) {
@@ -115,11 +103,11 @@ fn main() -> ExitCode {
         return replay_dir(Path::new(dir));
     }
 
-    let cases = env_u64("FBUF_FUZZ_CASES", 64) as usize;
-    let cmds = env_u64("FBUF_FUZZ_CMDS", 200) as usize;
-    let seed = env_u64("FBUF_FUZZ_SEED", 0xfb0f_5eed_2026_0801);
+    let cases = knobs::read("FBUF_FUZZ_CASES", knobs::parse_u64).unwrap_or(64) as usize;
+    let cmds = knobs::read("FBUF_FUZZ_CMDS", knobs::parse_u64).unwrap_or(200) as usize;
+    let seed = knobs::read("FBUF_FUZZ_SEED", knobs::parse_u64).unwrap_or(0xfb0f_5eed_2026_0801);
     let corpus = std::env::var("FBUF_FUZZ_CORPUS").unwrap_or_else(|_| "tests/corpus".into());
-    let adv = env_u64("FBUF_FUZZ_ADV", 0) as u32;
+    let adv = knobs::read("FBUF_FUZZ_ADV", knobs::parse_u64).unwrap_or(0) as u32;
 
     println!("fbuf-fuzz: {cases} case(s) × {cmds} command(s), seed {seed:#x}, adv {adv}");
     let report = fuzz::campaign(seed, cases, cmds, None, adv);

@@ -34,15 +34,9 @@ use std::process::ExitCode;
 
 use fbuf::shard::{fleet_ledger, run_fleet, FleetConfig};
 use fbuf::{Ledger, TenantRow};
+use fbuf_bench::knobs;
+use fbuf_sim::bench::report_dir;
 use fbuf_sim::{Json, MachineConfig, StatsSnapshot, ToJson};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// One formatted table row; `tenant` is e.g. `dom 3` or `path 1`.
 fn print_row(tenant: &str, r: &TenantRow) {
@@ -77,8 +71,8 @@ fn print_table(ledger: &Ledger) {
 }
 
 fn main() -> ExitCode {
-    let shards = env_u64("FBUF_LEDGER_SHARDS", 2) as usize;
-    let cycles = env_u64("FBUF_LEDGER_CYCLES", 4_000);
+    let shards = knobs::count("FBUF_LEDGER_SHARDS", 2) as usize;
+    let cycles = knobs::count("FBUF_LEDGER_CYCLES", 4_000);
 
     let mut machine = MachineConfig::decstation_5000_200();
     machine.phys_mem = 64 << 20;
@@ -134,16 +128,17 @@ fn main() -> ExitCode {
         ),
     ]);
 
-    let dir = std::env::var("FBUF_BENCH_DIR").unwrap_or_else(|_| "target/bench-reports".into());
-    let path = format!("{dir}/LEDGER_fleet.json");
-    if let Err(e) = std::fs::create_dir_all(&dir)
-        .map_err(|e| e.to_string())
-        .and_then(|()| std::fs::write(&path, doc.render()).map_err(|e| e.to_string()))
+    let dir = report_dir();
+    let path = dir.join("LEDGER_fleet.json");
+    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.render()))
     {
-        eprintln!("fbuf-ledger FAILED: could not write {path}: {e}");
+        eprintln!(
+            "fbuf-ledger FAILED: could not write {}: {e}",
+            path.display()
+        );
         return ExitCode::FAILURE;
     }
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 
     if !violations.is_empty() {
         eprintln!("fbuf-ledger FAILED: conservation violated:");

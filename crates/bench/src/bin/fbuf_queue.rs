@@ -43,34 +43,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use fbuf::{run_offered_load, QueueConfig, QueueReport};
+use fbuf_bench::knobs;
 use fbuf_sim::bench::{BenchRunner, Unit};
 use fbuf_sim::{Json, ToJson};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// `FBUF_QUEUE_BURSTS` as a sorted, deduplicated list (default 1,4,16,64).
-fn burst_sizes() -> Vec<usize> {
-    let mut bursts: Vec<usize> = match std::env::var("FBUF_QUEUE_BURSTS") {
-        Ok(s) => s
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .collect(),
-        Err(_) => vec![1, 4, 16, 64],
-    };
-    if bursts.is_empty() {
-        bursts.push(1);
-    }
-    bursts.sort_unstable();
-    bursts.dedup();
-    bursts
-}
 
 /// One sweep point's invariants; the engine must conserve transfers and
 /// only ever refuse work explicitly.
@@ -97,11 +72,13 @@ fn check_point(burst: usize, r: &QueueReport) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let transfers = env_u64("FBUF_QUEUE_TRANSFERS", 512);
-    let bursts = burst_sizes();
-    let hops = env_u64("FBUF_QUEUE_HOPS", 2) as usize;
-    let depth = env_u64("FBUF_QUEUE_DEPTH", 64) as usize;
-    let pages = env_u64("FBUF_QUEUE_PAGES", 1);
+    let transfers = knobs::count("FBUF_QUEUE_TRANSFERS", 512);
+    let bursts =
+        knobs::read("FBUF_QUEUE_BURSTS", knobs::parse_list).unwrap_or_else(|| vec![1, 4, 16, 64]);
+    let hops = knobs::count("FBUF_QUEUE_HOPS", 2) as usize;
+    let depth = knobs::count("FBUF_QUEUE_DEPTH", 64) as usize;
+    let pages = knobs::count("FBUF_QUEUE_PAGES", 1);
+    let slo = knobs::read("FBUF_QUEUE_SLO_P99_NS", knobs::parse_u64);
 
     println!(
         "== fbuf-queue: {transfers} transfers/point, bursts {bursts:?}, {hops} hop(s), inbox depth {depth}, {pages} page(s)/fbuf =="
@@ -162,29 +139,21 @@ fn main() -> ExitCode {
 
     // Optional SLO gate on the drained regime's tail: with one transfer
     // in flight, per-hop queueing delay must stay within the threshold.
-    if let Ok(raw) = std::env::var("FBUF_QUEUE_SLO_P99_NS") {
-        match raw.trim().parse::<u64>() {
-            Ok(slo) => {
-                let Some((_, drained)) = points.iter().find(|(b, _)| *b == 1) else {
-                    eprintln!(
-                        "fbuf-queue FAILED: FBUF_QUEUE_SLO_P99_NS set, but the sweep has no burst-1 (drained) point"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                let p99 = drained.queue_delay.p99();
-                if p99 > slo {
-                    eprintln!(
-                        "fbuf-queue FAILED: drained p99 queueing delay {p99} ns exceeds the SLO of {slo} ns"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                println!("SLO: drained p99 queueing delay {p99} ns <= {slo} ns");
-            }
-            Err(_) => {
-                eprintln!("fbuf-queue FAILED: FBUF_QUEUE_SLO_P99_NS={raw} is not a number");
-                return ExitCode::FAILURE;
-            }
+    if let Some(slo) = slo {
+        let Some((_, drained)) = points.iter().find(|(b, _)| *b == 1) else {
+            eprintln!(
+                "fbuf-queue FAILED: FBUF_QUEUE_SLO_P99_NS set, but the sweep has no burst-1 (drained) point"
+            );
+            return ExitCode::FAILURE;
+        };
+        let p99 = drained.queue_delay.p99();
+        if p99 > slo {
+            eprintln!(
+                "fbuf-queue FAILED: drained p99 queueing delay {p99} ns exceeds the SLO of {slo} ns"
+            );
+            return ExitCode::FAILURE;
         }
+        println!("SLO: drained p99 queueing delay {p99} ns <= {slo} ns");
     }
 
     // Queueing delay must actually respond to offered load: the largest

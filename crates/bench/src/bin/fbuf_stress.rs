@@ -28,6 +28,8 @@
 //! * `FBUF_STRESS_PAGES`   — pages per buffer (default 1);
 //! * `FBUF_STRESS_CROSS`   — send one cross-shard payload every N local
 //!   cycles (default 64; 0 disables cross-shard traffic);
+//! * `FBUF_STRESS_NOTICE_BATCH` — notice-coalescing window, tokens per
+//!   reverse-ring slot (default 8; 1 is the per-element plane);
 //! * `FBUF_STRESS_BASELINE_NS` — ns per fbuf operation of a reference
 //!   engine build; when set, the report carries the speedup against it;
 //! * `FBUF_STRESS_MIN_SPEEDUP` — `<threads>:<factor>` (e.g. `4:2.5`);
@@ -64,77 +66,17 @@ use std::process::ExitCode;
 use fbuf::shard::{
     fleet_ledger, fleet_snapshot, fleet_telemetry, run_fleet, FleetConfig, ShardReport,
 };
+use fbuf_bench::knobs;
 use fbuf_sim::bench::{BenchRunner, ScalingPoint, Unit};
 use fbuf_sim::{metrics, Json, MachineConfig, Ns, ToJson};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// Like [`env_u64`] but 0 is a meaningful value (e.g. "no cross traffic").
-fn env_u64_or_zero(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n: &f64| n > 0.0)
-}
-
-/// The shard counts to sweep: `FBUF_STRESS_THREADS` as a comma list, or
-/// 1,2,4,8 capped to the host's cores (always at least `[1]`), sorted
-/// and deduplicated so the scaling curve is well-ordered.
-fn thread_counts() -> Vec<usize> {
-    let mut counts: Vec<usize> = match std::env::var("FBUF_STRESS_THREADS") {
-        Ok(s) => s
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .collect(),
-        Err(_) => {
-            let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-            [1, 2, 4, 8].into_iter().filter(|&n| n <= cores).collect()
-        }
-    };
-    if counts.is_empty() {
-        counts.push(1);
-    }
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
-/// `FBUF_STRESS_NOTICE_BATCH`: the notice-coalescing window (tokens per
-/// reverse-ring slot; 1 = the per-element plane, default 8).
-fn notice_batch() -> usize {
-    std::env::var("FBUF_STRESS_NOTICE_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
-}
-
-/// `FBUF_STRESS_MIN_SPEEDUP` as `(threads, factor)`, e.g. `4:2.5`.
-fn min_speedup_gate() -> Option<(u64, f64)> {
-    parse_gate(&std::env::var("FBUF_STRESS_MIN_SPEEDUP").ok()?)
-}
-
-/// `FBUF_STRESS_EFF_FLOOR` as `(threads, efficiency)`, e.g. `2:0.6`.
-fn eff_floor_gate() -> Option<(u64, f64)> {
-    parse_gate(&std::env::var("FBUF_STRESS_EFF_FLOOR").ok()?)
-}
-
-fn parse_gate(raw: &str) -> Option<(u64, f64)> {
-    let (t, f) = raw.split_once(':')?;
-    Some((t.trim().parse().ok()?, f.trim().parse().ok()?))
+/// The shard counts to sweep by default: 1,2,4,8 capped to the host's
+/// cores (always at least `[1]`).
+fn default_thread_counts() -> Vec<usize> {
+    let cores = std::thread::available_parallelism()
+        .map(usize::from)
+        .unwrap_or(1);
+    [1, 2, 4, 8].into_iter().filter(|&n| n <= cores).collect()
 }
 
 /// Fleet wall-clock throughput of one run.
@@ -156,7 +98,15 @@ struct FleetRun {
 
 /// Runs the fleet at one thread count and asserts the per-shard
 /// steady-state invariants plus cross-shard payload conservation.
-fn run_at(threads: usize, machine: &MachineConfig, paths: usize, pages: u64, cycles: u64, cross_every: u64) -> Result<FleetRun, String> {
+fn run_at(
+    threads: usize,
+    machine: &MachineConfig,
+    paths: usize,
+    pages: u64,
+    cycles: u64,
+    cross_every: u64,
+    notice_batch: usize,
+) -> Result<FleetRun, String> {
     let cfg = FleetConfig {
         shards: threads,
         machine: machine.clone(),
@@ -165,7 +115,7 @@ fn run_at(threads: usize, machine: &MachineConfig, paths: usize, pages: u64, cyc
         cycles,
         cross_every,
         channel_capacity: 16,
-        notice_batch: notice_batch(),
+        notice_batch,
         trace: false,
         // Telemetry rides along: sampling is cadence-gated on simulated
         // time and never touches the counters the steady-state
@@ -457,13 +407,20 @@ fn main() -> ExitCode {
         };
     }
 
-    let cycles = env_u64("FBUF_STRESS_OPS", 200_000);
-    let threads = thread_counts();
+    let cycles = knobs::count("FBUF_STRESS_OPS", 200_000);
+    let threads =
+        knobs::read("FBUF_STRESS_THREADS", knobs::parse_list).unwrap_or_else(default_thread_counts);
     let max_threads = *threads.last().expect("at least one thread count");
-    let npaths = env_u64("FBUF_STRESS_PATHS", 4 * max_threads as u64) as usize;
-    let pages = env_u64("FBUF_STRESS_PAGES", 1);
-    let cross_every = env_u64_or_zero("FBUF_STRESS_CROSS", 64);
-    let baseline = env_f64("FBUF_STRESS_BASELINE_NS");
+    let npaths = knobs::count("FBUF_STRESS_PATHS", 4 * max_threads as u64) as usize;
+    let pages = knobs::count("FBUF_STRESS_PAGES", 1);
+    let cross_every = knobs::read("FBUF_STRESS_CROSS", knobs::parse_u64).unwrap_or(64);
+    // Notice-coalescing window: tokens per reverse-ring slot (1 = the
+    // per-element plane).
+    let notice_batch =
+        knobs::read("FBUF_STRESS_NOTICE_BATCH", knobs::parse_u64).unwrap_or(8) as usize;
+    let baseline = knobs::read("FBUF_STRESS_BASELINE_NS", knobs::parse_f64).filter(|&ns| ns > 0.0);
+    let min_speedup = knobs::read("FBUF_STRESS_MIN_SPEEDUP", knobs::parse_gate);
+    let eff_floor = knobs::read("FBUF_STRESS_EFF_FLOOR", knobs::parse_gate);
 
     let mut cfg = MachineConfig::decstation_5000_200();
     // Enough physical memory and chunk space that every path's working
@@ -480,7 +437,7 @@ fn main() -> ExitCode {
 
     let mut runs = Vec::with_capacity(threads.len());
     for &n in &threads {
-        match run_at(n, &cfg, npaths, pages, cycles, cross_every) {
+        match run_at(n, &cfg, npaths, pages, cycles, cross_every, notice_batch) {
             Ok(run) => {
                 println!(
                     "{:>2} thread(s): {:>10} fbuf ops in {:>8.1} ms host ({:.3} us/cycle simulated, {} cross-shard payloads)",
@@ -499,7 +456,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some((gate_threads, factor)) = min_speedup_gate() {
+    if let Some((gate_threads, factor)) = min_speedup {
         let base = &runs[0];
         match runs.iter().find(|r| r.threads == gate_threads) {
             Some(run) => {
@@ -525,7 +482,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some((gate_threads, floor)) = eff_floor_gate() {
+    if let Some((gate_threads, floor)) = eff_floor {
         let base = &runs[0];
         match runs.iter().find(|r| r.threads == gate_threads) {
             Some(run) => {
@@ -584,7 +541,7 @@ fn main() -> ExitCode {
         .map(|r| ScalingPoint { threads: r.threads, ops: r.ops, elapsed_ns: r.host_ns })
         .collect();
     runner.host_scaling(&curve);
-    if let Some((gate_threads, floor)) = eff_floor_gate() {
+    if let Some((gate_threads, floor)) = eff_floor {
         runner.host_scaling_floor(gate_threads, floor);
     }
     // One coherent fleet snapshot: the counter merge of the largest run.

@@ -13,23 +13,16 @@
 //! Exits nonzero if the audit finds a violation or the written JSON
 //! fails to round-trip through the in-repo parser.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
+use fbuf_bench::knobs;
 use fbuf_net::{LoopbackConfig, LoopbackStack};
+use fbuf_sim::bench::report_dir;
 use fbuf_sim::{audit_tracer, EventKind, Json, MachineConfig};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
 fn main() -> ExitCode {
-    let msgs = env_u64("FBUF_TRACE_MSGS", 16);
-    let size = env_u64("FBUF_TRACE_SIZE", 16 << 10);
+    let msgs = knobs::count("FBUF_TRACE_MSGS", 16);
+    let size = knobs::count("FBUF_TRACE_SIZE", 16 << 10);
 
     let mut cfg = MachineConfig::decstation_5000_200();
     cfg.phys_mem = 24 << 20;
@@ -66,19 +59,10 @@ fn main() -> ExitCode {
     // are keyed the same way (None = uncached / pathless).
     let events = tracer.events();
     println!(
-        "\n{:<10} {:>9} {:>6} {:>8} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12} {:>12}",
-        "path", "transfers", "hits", "misses", "enq", "deq", "ovl", "alloc_p50", "alloc_p99",
-        "xfer_p50", "xfer_p99"
+        "\n{:<10} {:>9} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12}",
+        "path", "transfers", "hits", "misses", "alloc_p50", "alloc_p99", "xfer_p50", "xfer_p99"
     );
-    // Rows: every path with a latency histogram, plus any key that only
-    // appears on queue events (hop events are pathless, so the queue
-    // audit trail lands on the "-" row).
     let mut keys = tracer.latency_paths();
-    for e in &events {
-        if !keys.contains(&e.path) {
-            keys.push(e.path);
-        }
-    }
     keys.sort_unstable();
     for key in keys {
         let count = |kind: EventKind| {
@@ -93,26 +77,16 @@ fn main() -> ExitCode {
                 .map_or_else(|| "-".to_string(), |h| format!("{:.1}us", pick(&h) as f64 / 1_000.0))
         };
         println!(
-            "{:<10} {:>9} {:>6} {:>8} {:>6} {:>6} {:>5} {:>12} {:>12} {:>12} {:>12}",
+            "{:<10} {:>9} {:>6} {:>8} {:>12} {:>12} {:>12} {:>12}",
             label,
             count(EventKind::Transfer),
             count(EventKind::CacheHit),
             count(EventKind::CacheMiss),
-            count(EventKind::Enqueue),
-            count(EventKind::Dequeue),
-            count(EventKind::Overload),
             fmt(tracer.alloc_latency(key), |h| h.p50()),
             fmt(tracer.alloc_latency(key), |h| h.p99()),
             fmt(tracer.transfer_latency(key), |h| h.p50()),
             fmt(tracer.transfer_latency(key), |h| h.p99()),
         );
-    }
-    let total_ovl = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Overload)
-        .count();
-    if total_ovl > 0 {
-        println!("overload drops in trace: {total_ovl} (see the ovl column for the per-path split)");
     }
     println!("\ncounter deltas over the measured section:\n{delta}");
 
@@ -137,9 +111,7 @@ fn main() -> ExitCode {
 
     // Export, then prove the artifact parses with the in-repo parser and
     // carries the event kinds the acceptance gate names.
-    let dir = std::env::var("FBUF_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target/bench-reports"));
+    let dir = report_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("fbuf-trace: cannot create {}: {e}", dir.display());
         return ExitCode::FAILURE;

@@ -19,6 +19,7 @@
 //! `fbuf-stress` (wall-clock multi-shard stress), `fbuf-queue`
 //! (offered-load sweep through the event-loop engine, queueing-delay
 //! percentiles per burst size), and `fbuf-fuzz` (lockstep campaigns).
+//! They read their `FBUF_*` environment knobs through [`knobs`].
 //!
 //! Design notes: `DESIGN.md` §5 (the per-table/per-figure experiment
 //! index) and `EXPERIMENTS.md` (paper-vs-measured, command matrix).
@@ -29,6 +30,7 @@ pub mod fanin;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
+pub mod knobs;
 pub mod observe;
 pub mod remap;
 pub mod report;

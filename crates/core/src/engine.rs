@@ -1,29 +1,24 @@
-//! The event-driven transfer engine: hops as scheduled events.
+//! The event-driven transfer engine: transfers as scheduled events.
 //!
-//! Historically every cross-domain hop was a synchronous descent — the
-//! driver called [`Rpc::call`](fbuf_ipc::Rpc::call) inline and kept
-//! recursing until the transfer bottomed out. This module reworks
-//! [`FbufSystem`] around the [`fbuf_ipc::actor::EventLoop`]: each hop is
-//! **posted** to the destination domain's bounded inbox, **dequeued** in
-//! deterministic `(time, id)` order, **handled** (the hop's charges run
-//! inside the handler), and **completed** either by posting the next leg
-//! or an explicit [`HopMsg::Complete`] event back to the originator.
+//! A bare cross-domain hop is what the paper says it is (§3.2): one
+//! synchronous RPC whose reply carries the deallocation notices back.
+//! [`FbufSystem::hop`] charges it inline, after draining anything still
+//! in flight. Work that can wait rides the
+//! [`fbuf_ipc::actor::EventLoop`] instead: each leg of a
+//! [`FbufSystem::submit_transfer`] is **posted** to the destination
+//! domain's bounded inbox, **dequeued** in deterministic `(time, id)`
+//! order, **handled** (the leg's charges run inside the handler), and
+//! **completed** either by posting the next leg or an explicit
+//! [`HopMsg::Complete`] event back to the originator.
 //!
-//! Two modes coexist (see [`TransferMode`]), mirroring the PR-3 precedent
-//! of keeping per-page and batched VM ops side by side:
-//!
-//! * [`TransferMode::DirectCall`] — the original inline descent, kept as
-//!   the exactness baseline;
-//! * [`TransferMode::EventLoop`] (the default) — every
-//!   [`FbufSystem::hop`] becomes enqueue → dequeue → handler →
-//!   completion.
-//!
-//! **Counter-exactness is the design invariant**: on drained (sequential)
-//! workloads the two modes charge byte-identical simulated time and
-//! counters, because the loop itself never touches the clock — all cost
-//! stays in the handler, which performs exactly the charges the inline
-//! descent performed. `tests/counter_exactness.rs` pins this over the
-//! loopback, Osiris, DAG-aggregate, and integrated-aggregate workloads.
+//! **Counter-exactness is the design invariant**: the loop itself never
+//! touches the clock — all cost stays in the handler, which performs
+//! exactly the charges the inline descent (`hop` + `send` per leg, then
+//! frees in reverse) performs. A drained transfer through the loop and
+//! the same transfer driven inline therefore charge byte-identical
+//! simulated time and counters (pinned by this module's tests), and
+//! `tests/counter_exactness.rs` pins the loopback, Osiris,
+//! proxy-chain and integrated-aggregate workloads to golden values.
 //!
 //! What the event loop adds over the descent is everything the descent
 //! could not express: multiple transfers genuinely in flight
@@ -40,25 +35,9 @@ use crate::buffer::FbufId;
 use crate::error::FbufResult;
 use crate::system::{AllocMode, FbufSystem, SendMode};
 
-/// Which execution model drives cross-domain hops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferMode {
-    /// The original synchronous descent: [`FbufSystem::hop`] charges the
-    /// RPC inline. Kept as the counter-exactness baseline.
-    DirectCall,
-    /// Hops are events: posted to the destination's inbox, dequeued by
-    /// the per-shard event loop, charged in the handler. The default.
-    EventLoop,
-}
-
 /// Event payloads flowing through the transfer engine's loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HopMsg {
-    /// A bare control-transfer hop — the event form of
-    /// [`Rpc::call`](fbuf_ipc::Rpc::call). The handler charges the RPC
-    /// and captures the piggybacked deallocation notices for the caller
-    /// of [`FbufSystem::hop`].
-    Call,
     /// One leg of a full transfer driven by [`run_offered_load`]: the
     /// handler charges the RPC, moves `fbuf` to the envelope's
     /// destination, and posts the next leg (or frees + completes at the
@@ -95,18 +74,6 @@ pub enum HopMsg {
 }
 
 impl FbufSystem {
-    /// The current hop execution model.
-    pub fn transfer_mode(&self) -> TransferMode {
-        self.transfer_mode
-    }
-
-    /// Switches the hop execution model. Takes effect on the next
-    /// [`FbufSystem::hop`]; pending events keep draining through the
-    /// loop.
-    pub fn set_transfer_mode(&mut self, mode: TransferMode) {
-        self.transfer_mode = mode;
-    }
-
     /// Sets the bounded per-domain inbox depth (see
     /// [`fbuf_ipc::actor::EventLoop::set_inbox_depth`]).
     pub fn set_inbox_depth(&mut self, depth: usize) {
@@ -118,42 +85,14 @@ impl FbufSystem {
     /// Performs one cross-domain hop from `from` to `to` and returns the
     /// deallocation notices the reply carries back.
     ///
-    /// This is the drop-in replacement for the old inline
-    /// `rpc_mut().call(from, to)` at every hop site. Under
-    /// [`TransferMode::DirectCall`] it *is* that call. Under
-    /// [`TransferMode::EventLoop`] the hop is posted as a [`HopMsg::Call`]
-    /// event and the loop is pumped to completion — same charges, same
-    /// counters, plus an Enqueue/Dequeue audit trail and a (zero, when
-    /// drained) queueing-delay sample.
-    ///
-    /// Calls arriving while the loop is already pumping (i.e. from inside
-    /// a handler) charge inline: they are being serviced *as* an event
-    /// already.
+    /// A bare hop is one synchronous RPC (paper §3.2). It first drains
+    /// the event loop, so it is a barrier behind any transfer still in
+    /// flight; on a drained system that pump is a no-op. Called from
+    /// inside a handler (the loop is already pumping) it simply charges
+    /// inline.
     pub fn hop(&mut self, from: DomainId, to: DomainId) -> Vec<u64> {
-        if self.transfer_mode == TransferMode::DirectCall || self.engine.is_none() {
-            return self.rpc_mut().call(from, to);
-        }
-        // Never trip the inbox bound on a sequential hop: drain any
-        // backlog first, so the post below always queues and the
-        // overload counter stays exact vs. the direct path.
-        let full = {
-            let e = self.engine.as_ref().expect("engine present");
-            e.inbox_len(to) >= e.inbox_depth()
-        };
-        if full {
-            self.pump();
-        }
-        let outcome = self
-            .engine
-            .as_mut()
-            .expect("engine present")
-            .post(from, to, HopMsg::Call);
-        debug_assert!(
-            matches!(outcome, SendOutcome::Queued(_)),
-            "a drained inbox accepts one hop"
-        );
         self.pump();
-        std::mem::take(&mut self.hop_notices)
+        self.rpc_mut().call(from, to)
     }
 
     /// Posts one full multi-leg transfer (first leg only; later legs are
@@ -189,9 +128,9 @@ impl FbufSystem {
         outcome
     }
 
-    /// Drains the event loop to empty, servicing every pending hop; no-op
-    /// under [`TransferMode::DirectCall`] or when re-entered from a
-    /// handler. Returns the number of events processed.
+    /// Drains the event loop to empty, servicing every pending event;
+    /// no-op when re-entered from a handler. Returns the number of events
+    /// processed.
     pub fn pump(&mut self) -> usize {
         let Some(mut evl) = self.engine.take() else {
             return 0;
@@ -254,14 +193,11 @@ impl FbufSystem {
     }
 }
 
-/// The per-event handler: all simulated cost charged by a hop lives here,
-/// which is what keeps the loop counter-exact with the inline descent.
+/// The per-event handler: all simulated cost charged by a transfer leg
+/// lives here, which is what keeps the loop counter-exact with the inline
+/// descent.
 fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<HopMsg>) {
     match env.msg {
-        HopMsg::Call => {
-            let drained = sys.rpc_mut().call(env.from, env.to);
-            sys.hop_notices.extend(drained);
-        }
         HopMsg::Transfer {
             fbuf,
             route,
@@ -425,7 +361,6 @@ pub struct QueueReport {
 /// path (counted in `Stats::overload_drops`) takes over from queueing.
 pub fn run_offered_load(cfg: &QueueConfig) -> FbufResult<QueueReport> {
     let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
-    sys.set_transfer_mode(TransferMode::EventLoop);
     sys.set_inbox_depth(cfg.inbox_depth);
     // Telemetry and span tracing ride along: neither ever charges the
     // simulated clock, so the measured times are unchanged.
@@ -488,32 +423,97 @@ mod tests {
     }
 
     #[test]
-    fn hop_charges_identically_in_both_modes() {
-        let (mut direct, da, db) = fresh();
-        direct.set_transfer_mode(TransferMode::DirectCall);
-        let (mut event, ea, eb) = fresh();
-        assert_eq!(event.transfer_mode(), TransferMode::EventLoop);
-
-        for _ in 0..10 {
-            direct.hop(da, db);
-            direct.hop(db, KERNEL_DOMAIN);
-            event.hop(ea, eb);
-            event.hop(eb, KERNEL_DOMAIN);
+    fn hop_is_exactly_one_synchronous_rpc() {
+        let (mut hopped, ha, hb) = fresh();
+        let (mut called, ca, cb) = fresh();
+        // Give both replies notices to carry: a cached buffer the
+        // receiver has released queues one for its originator.
+        for (sys, a, b) in [(&mut hopped, ha, hb), (&mut called, ca, cb)] {
+            let path = sys.create_path(vec![a, b]).unwrap();
+            let buf = sys.alloc(a, AllocMode::Cached(path), 4096).unwrap();
+            sys.send(buf, a, b, SendMode::Volatile).unwrap();
+            sys.free(buf, b).unwrap();
         }
-        assert_eq!(direct.machine().now(), event.machine().now());
+        for _ in 0..10 {
+            assert_eq!(hopped.hop(ha, hb), called.rpc_mut().call(ca, cb));
+            assert_eq!(
+                hopped.hop(hb, KERNEL_DOMAIN),
+                called.rpc_mut().call(cb, KERNEL_DOMAIN)
+            );
+        }
+        assert_eq!(hopped.machine().now(), called.machine().now());
         assert_eq!(
-            direct.stats().snapshot(),
-            event.stats().snapshot(),
-            "the event loop performs exactly the charges the descent did"
+            hopped.stats().snapshot(),
+            called.stats().snapshot(),
+            "a hop charges exactly the RPC"
         );
-        // The loop measured each hop, all with zero queueing (drained).
-        let h = event.queue_delay();
-        assert_eq!(h.count(), 20);
-        assert_eq!(h.max(), 0);
+        assert_eq!(hopped.stats().piggybacked_notices(), 1);
+        // Nothing went through the loop.
+        assert_eq!(hopped.engine_pending(), 0);
+        assert!(hopped.queue_delay().is_empty());
     }
 
     #[test]
-    fn hop_returns_piggybacked_notices_through_the_loop() {
+    fn drained_transfers_charge_exactly_the_inline_descent() {
+        // Differential matrix: the event loop (submit + pump, one
+        // transfer at a time) against the inline descent (`hop` + `send`
+        // per leg, then frees receiver first), on twin systems, over
+        // route length x pages x transfers.
+        for hops in 1..=4usize {
+            for pages in [1u64, 4] {
+                for transfers in [1u64, 8, 33] {
+                    let case = format!("hops {hops} pages {pages} transfers {transfers}");
+                    let setup = || {
+                        let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
+                        let mut route = vec![KERNEL_DOMAIN];
+                        for _ in 0..hops {
+                            route.push(sys.create_domain());
+                        }
+                        let path = sys.create_path(route.clone()).unwrap();
+                        let len = pages * sys.machine().page_size();
+                        (sys, route, path, len)
+                    };
+
+                    let (mut looped, route, path, len) = setup();
+                    for _ in 0..transfers {
+                        let buf = looped
+                            .alloc(route[0], AllocMode::Cached(path), len)
+                            .unwrap();
+                        assert!(!looped.submit_transfer(buf, &route).is_overload());
+                        looped.pump();
+                    }
+                    assert_eq!(looped.transfers_completed(), transfers, "{case}");
+                    assert_eq!(looped.queue_delay().max(), 0, "{case}: drained");
+
+                    let (mut inline, route, path, len) = setup();
+                    for _ in 0..transfers {
+                        let buf = inline
+                            .alloc(route[0], AllocMode::Cached(path), len)
+                            .unwrap();
+                        for leg in route.windows(2) {
+                            inline.hop(leg[0], leg[1]);
+                            inline
+                                .send(buf, leg[0], leg[1], SendMode::Volatile)
+                                .unwrap();
+                        }
+                        for d in route.iter().rev() {
+                            inline.free(buf, *d).unwrap();
+                        }
+                    }
+
+                    assert_eq!(looped.machine().now(), inline.machine().now(), "{case}");
+                    assert_eq!(
+                        looped.stats().snapshot(),
+                        inline.stats().snapshot(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hop_returns_piggybacked_notices_on_the_reply() {
         let (mut sys, a, b) = fresh();
         let path = sys.create_path(vec![a, b]).unwrap();
         let buf = sys.alloc(a, AllocMode::Cached(path), 4096).unwrap();

@@ -131,15 +131,10 @@ pub struct FbufSystem {
     /// Armed fault-injection plan, if any. `None` in production: every
     /// hook point is then a single `is_some()` branch, like `trace`.
     fault: Option<Rc<FaultPlan>>,
-    /// Hop execution model (see [`crate::engine::TransferMode`]).
-    pub(crate) transfer_mode: crate::engine::TransferMode,
     /// The per-shard event loop. Held in an `Option` so
     /// [`FbufSystem::pump`](crate::engine) can take it out while the
     /// handler borrows `self`; `None` only during a pump.
     pub(crate) engine: Option<fbuf_ipc::EventLoop<crate::engine::HopMsg>>,
-    /// Notices drained by the most recent event-loop hop, handed back to
-    /// the [`FbufSystem::hop`](crate::engine) caller.
-    pub(crate) hop_notices: Vec<u64>,
     /// Transfers whose explicit completion event was serviced.
     pub(crate) xfer_completed: u64,
     /// Transfers aborted mid-route by an inbox overload.
@@ -332,13 +327,11 @@ impl FbufSystem {
             charge_clearing: true,
             reuse_policy: ReusePolicy::Lifo,
             fault: None,
-            transfer_mode: crate::engine::TransferMode::EventLoop,
             engine: Some(fbuf_ipc::EventLoop::new(
                 machine_clock,
                 machine_stats,
                 machine_tracer,
             )),
-            hop_notices: Vec::new(),
             xfer_completed: 0,
             xfer_aborted: 0,
             xfer_revoked: 0,

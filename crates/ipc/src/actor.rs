@@ -4,14 +4,15 @@
 //! synchronous depth-first descent — `rpc.call(a, b)` followed inline by
 //! the next hop's `rpc.call(b, c)` — so exactly one message could be in
 //! flight per engine and queueing, backpressure, and overload could not
-//! even be expressed. This module replaces the call stack with an
-//! explicit scheduler:
+//! even be expressed. For transfers that may queue, this module replaces
+//! the call stack with an explicit scheduler:
 //!
 //! * every protection domain is an **actor** with a bounded FIFO
 //!   **inbox**;
-//! * a hop is **posted** as an event ([`EventLoop::post`]): it lands in
-//!   the destination actor's inbox and a wake token enters the
-//!   [`EventHeap`], stamped with the simulated now;
+//! * a transfer leg is **posted** as an event ([`EventLoop::post`]): it
+//!   lands in the destination actor's inbox and a wake token enters the
+//!   [`EventHeap`], stamped with the simulated now (a bare hop is not
+//!   posted: it stays one synchronous [`Rpc::call`](crate::Rpc::call));
 //! * the loop ([`EventLoop::step`] / [`EventLoop::run`]) pops tokens in
 //!   deterministic `(time, id)` order, dequeues the matching envelope,
 //!   records its **queueing delay** (dequeue instant minus enqueue
@@ -30,9 +31,10 @@
 //!
 //! The loop itself never charges the clock: all simulated cost stays in
 //! the handler (RPC latency, VM work, protocol processing). That is what
-//! makes the engine *counter-exact* with the recursive descent — driving
-//! the same hop sequence through [`EventLoop::run`] performs the same
-//! charges in the same order, pinned by `tests/counter_exactness.rs`.
+//! makes the engine *counter-exact* with the synchronous descent —
+//! driving the same legs through [`EventLoop::run`] performs the same
+//! charges in the same order, pinned by `fbuf::engine`'s differential
+//! test and `tests/counter_exactness.rs`.
 
 use std::collections::VecDeque;
 

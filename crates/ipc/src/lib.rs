@@ -13,16 +13,17 @@
 //!   this list. When too many freed references have accumulated, an explicit
 //!   message must be sent" (paper §3.3; [`NoticeBoard`]).
 //!
-//! Two execution models share those charging primitives:
+//! Two layers share those charging primitives:
 //!
-//! * [`Rpc::call`] alone models the original **synchronous** descent — the
-//!   caller charges the full round trip inline, matching a single-CPU
-//!   DecStation where caller and callee cannot overlap;
-//! * [`actor::EventLoop`] schedules hops as **events** against bounded
-//!   per-domain inboxes, with [`Rpc::call`] invoked from the event handler
-//!   so each hop charges identically — plus explicit queueing delay,
-//!   backpressure, and [`actor::SendOutcome::Overload`] that the recursive
-//!   model cannot express. See `DESIGN.md` §12.
+//! * [`Rpc::call`] is one **synchronous** hop — the caller charges the
+//!   full round trip inline, matching a single-CPU DecStation where
+//!   caller and callee cannot overlap. Every bare hop is exactly this;
+//! * [`actor::EventLoop`] schedules the legs of multi-hop transfers as
+//!   **events** against bounded per-domain inboxes, with [`Rpc::call`]
+//!   invoked from the event handler so each leg charges identically —
+//!   plus explicit queueing delay, backpressure, and
+//!   [`actor::SendOutcome::Overload`] that the synchronous descent
+//!   cannot express. See `DESIGN.md` §12.
 
 pub mod actor;
 pub mod notice;

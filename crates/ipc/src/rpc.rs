@@ -82,11 +82,11 @@ impl Rpc {
     /// kernel mediates every RPC, so the reply aggregates notices from all
     /// holders).
     ///
-    /// This is the per-hop *charging primitive* for both execution models:
-    /// the recursive engine invokes it inline at each level of its descent,
-    /// and the event-loop engine ([`crate::actor::EventLoop`]) invokes it
-    /// from the dequeue handler of each hop. Because the charge sequence is
-    /// identical either way, the two engines stay counter-exact (pinned by
+    /// This is the per-hop *charging primitive*: a bare hop is exactly
+    /// this call, and the event-loop engine ([`crate::actor::EventLoop`])
+    /// invokes it from the dequeue handler of each transfer leg. Because
+    /// the charge sequence is identical either way, a transfer charges the
+    /// same whether it is driven inline or through the loop (pinned by
     /// `tests/counter_exactness.rs`).
     pub fn call(&mut self, from: DomainId, to: DomainId) -> Vec<u64> {
         self.clock.charge(

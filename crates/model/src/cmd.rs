@@ -91,12 +91,12 @@ pub enum Cmd {
     },
     /// Create a fresh domain and add it to the roster (bounded).
     Respawn,
-    /// Drive one bare cross-domain hop through the event-loop engine
-    /// (`FbufSystem::hop`: post → dequeue → handler → completion). The
-    /// oracle's mirror transition is the identity — RPC charging is not
-    /// part of the diffed state — so what this fuzzes is that routing
-    /// hops through the scheduler perturbs *nothing* the model tracks,
-    /// drains the loop completely, and never trips the overload path.
+    /// Issue one bare cross-domain hop (`FbufSystem::hop`: drain the
+    /// event loop, then one synchronous RPC). The oracle's mirror
+    /// transition is the identity — RPC charging is not part of the
+    /// diffed state — so what this fuzzes is that a hop perturbs
+    /// *nothing* the model tracks, leaves the loop drained, and never
+    /// trips the overload path.
     Hop {
         /// Sender selector (resolved against the roster).
         from_sel: u8,

@@ -415,12 +415,11 @@ impl Harness {
         self.feed.finish()
     }
 
-    /// Drives one bare hop through the event-loop engine. The oracle
-    /// transition is the identity (RPC charging is outside the diffed
-    /// state), so this command checks that scheduling a hop as an event
-    /// — enqueue, dequeue, handler, completion — leaves every model-
-    /// tracked observable untouched, drains the loop, and never takes
-    /// the overload path on a sequential post.
+    /// Issues one bare hop: a barrier drain of the event loop, then one
+    /// synchronous RPC. The oracle transition is the identity (RPC
+    /// charging is outside the diffed state), so this command checks
+    /// that a hop leaves every model-tracked observable untouched,
+    /// leaves the loop drained, and never takes the overload path.
     fn do_hop(&mut self, from_sel: u8, to_sel: u8) -> Result<(), String> {
         let Some(from) = self.pick(from_sel) else {
             return Ok(());

@@ -533,15 +533,19 @@ impl BenchRunner {
                 );
             }
         }
-        let dir = std::env::var("FBUF_BENCH_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("target/bench-reports"));
+        let dir = report_dir();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.report().render())?;
         println!("wrote {}", path.display());
         Ok(path)
     }
+}
+
+/// The report directory: `FBUF_BENCH_DIR`, default `target/bench-reports`.
+pub fn report_dir() -> PathBuf {
+    std::env::var_os("FBUF_BENCH_DIR")
+        .map_or_else(|| PathBuf::from("target/bench-reports"), PathBuf::from)
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //! security page clears; every allocation is a cache hit.
 
 use fbufs::fbuf::shard::{run_fleet, FleetConfig, NOTICE_BATCH_MAX};
-use fbufs::fbuf::{AllocMode, FbufSystem, SendMode, TransferMode};
+use fbufs::fbuf::{AllocMode, FbufSystem, SendMode};
 use fbufs::net::{DomainSetup, EndToEnd, EndToEndConfig, LoopbackConfig, LoopbackStack};
-use fbufs::sim::{audit_tracer, EventKind, MachineConfig};
+use fbufs::sim::{audit_tracer, EventKind, MachineConfig, Ns, StatsSnapshot};
 use fbufs::vm::{Machine, Prot};
 use fbufs::xkernel::integrated::{self, DagBuilder, TraverseLimits};
 use fbufs::xkernel::proxy::deliver_integrated;
@@ -163,130 +163,281 @@ fn batched_range_ops_charge_identically_to_per_page_loops() {
 }
 
 // ---------------------------------------------------------------------
-// Event-loop engine exactness: replacing the synchronous depth-first
-// descent with enqueue → dequeue → handler → completion must not move a
-// single simulated nanosecond or counter on any existing workload. Each
-// test below runs the same workload under TransferMode::DirectCall (the
-// old inline descent) and TransferMode::EventLoop (hops as scheduled
-// events) and requires byte-identical (clock, full counter snapshot).
+// Engine exactness goldens. A bare hop is one synchronous RPC and the
+// event loop charges nothing of its own, so each workload below has one
+// correct (clock, counters) outcome. The goldens were captured from the
+// synchronous descent while an event-driven hop path still existed and
+// matched it byte for byte. Every counter a golden does not name must
+// be zero.
 // ---------------------------------------------------------------------
+
+/// A pinned (clock, counter snapshot) pair: the non-zero counters by
+/// name; every other counter is asserted zero.
+struct Golden {
+    clock: Ns,
+    counters: &'static [(&'static str, u64)],
+}
+
+fn assert_golden(workload: &str, now: Ns, snap: &StatsSnapshot, golden: &Golden) {
+    assert_eq!(
+        now, golden.clock,
+        "{workload}: simulated clock must match exactly"
+    );
+    let counters = snap.counters();
+    for &(name, _) in golden.counters {
+        assert!(
+            counters.iter().any(|c| c.name == name),
+            "{workload}: golden names unknown counter {name}"
+        );
+    }
+    for c in counters {
+        let want = golden
+            .counters
+            .iter()
+            .find(|&&(name, _)| name == c.name)
+            .map_or(0, |&(_, v)| v);
+        assert_eq!(
+            c.value, want,
+            "{workload}: counter {} must match exactly",
+            c.name
+        );
+    }
+}
+
+const CACHED_LOOPBACK: Golden = Golden {
+    clock: Ns(5914000),
+    counters: &[
+        ("pte_updates", 8),
+        ("tlb_refills", 8),
+        ("pages_cleared", 4),
+        ("frames_allocated", 4),
+        ("ipc_messages", 12),
+        ("piggybacked_notices", 40),
+        ("fbuf_cache_hits", 20),
+        ("fbuf_cache_misses", 4),
+        ("chunks_granted", 1),
+        ("fbuf_transfers", 48),
+        ("bytes_transferred", 196608),
+    ],
+};
+
+const UNCACHED_LOOPBACK: Golden = Golden {
+    clock: Ns(6414000),
+    counters: &[
+        ("pte_updates", 96),
+        ("tlb_flushes", 48),
+        ("tlb_refills", 32),
+        ("pages_cleared", 16),
+        ("frames_allocated", 16),
+        ("frames_freed", 16),
+        ("ipc_messages", 8),
+        ("piggybacked_notices", 24),
+        ("chunks_granted", 1),
+        ("fbuf_transfers", 32),
+        ("bytes_transferred", 131072),
+    ],
+};
+
+const OSIRIS_TX: Golden = Golden {
+    clock: Ns(5525000),
+    counters: &[
+        ("pte_updates", 13),
+        ("tlb_refills", 13),
+        ("pages_cleared", 13),
+        ("frames_allocated", 13),
+        ("ipc_messages", 3),
+        ("piggybacked_notices", 2),
+        ("fbuf_cache_hits", 2),
+        ("fbuf_cache_misses", 1),
+        ("chunks_granted", 1),
+        ("fbuf_transfers", 3),
+        ("bytes_transferred", 150000),
+    ],
+};
+
+const OSIRIS_RX: Golden = Golden {
+    clock: Ns(7271113),
+    counters: &[
+        ("pte_updates", 42),
+        ("tlb_flushes", 8),
+        ("tlb_refills", 17),
+        ("frames_allocated", 17),
+        ("frames_freed", 4),
+        ("ipc_messages", 3),
+        ("piggybacked_notices", 8),
+        ("fbuf_cache_hits", 7),
+        ("fbuf_cache_misses", 4),
+        ("chunks_granted", 2),
+        ("fbuf_transfers", 12),
+        ("pdus_sent", 12),
+        ("driver_cached_rx", 11),
+        ("driver_uncached_rx", 1),
+        ("bytes_transferred", 150000),
+    ],
+};
+
+const PROXY_CHAIN: Golden = Golden {
+    clock: Ns(2670500),
+    counters: &[
+        ("pte_updates", 67),
+        ("tlb_flushes", 36),
+        ("tlb_refills", 8),
+        ("pages_cleared", 9),
+        ("frames_allocated", 9),
+        ("frames_freed", 8),
+        ("ipc_messages", 8),
+        ("piggybacked_notices", 12),
+        ("fbuf_cache_hits", 3),
+        ("fbuf_cache_misses", 1),
+        ("chunks_granted", 2),
+        ("fbuf_transfers", 16),
+        ("fbufs_secured", 8),
+        ("bytes_transferred", 98304),
+    ],
+};
+
+const INTEGRATED: Golden = Golden {
+    clock: Ns(1365000),
+    counters: &[
+        ("pte_updates", 18),
+        ("tlb_refills", 18),
+        ("pages_cleared", 9),
+        ("frames_allocated", 9),
+        ("ipc_messages", 3),
+        ("chunks_granted", 1),
+        ("fbuf_transfers", 6),
+        ("dag_nodes_visited", 9),
+        ("bytes_transferred", 25152),
+    ],
+};
 
 #[test]
 fn event_loop_is_counter_exact_on_cached_loopback() {
-    let run = |mode: TransferMode| {
-        let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, true));
-        s.fbs.set_transfer_mode(mode);
-        for _ in 0..6 {
-            s.send_message(16 << 10, false).unwrap();
-        }
-        (s.fbs.machine().now(), s.fbs.stats().snapshot(), s)
-    };
-    let (t_d, s_d, _) = run(TransferMode::DirectCall);
-    let (t_e, s_e, sys) = run(TransferMode::EventLoop);
-    assert_eq!(t_d, t_e, "simulated clock must match exactly");
-    assert_eq!(s_d, s_e, "counter snapshot must match exactly");
-    // The event engine really ran: every hop was measured, all with zero
-    // queueing delay (sequential workloads drain between hops).
-    let h = sys.fbs.queue_delay();
-    assert!(h.count() > 0, "hops flowed through the loop");
-    assert_eq!(h.max(), 0, "a drained pipeline queues nothing");
-    assert_eq!(s_e.overload_drops, 0);
+    let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, true));
+    for _ in 0..6 {
+        s.send_message(16 << 10, false).unwrap();
+    }
+    let snap = s.fbs.stats().snapshot();
+    assert_golden(
+        "cached loopback",
+        s.fbs.machine().now(),
+        &snap,
+        &CACHED_LOOPBACK,
+    );
+    // Hops are synchronous calls: nothing was queued, nothing was
+    // refused.
+    assert_eq!(s.fbs.queue_delay().count(), 0, "bare hops bypass the loop");
+    assert_eq!(snap.overload_drops, 0);
 }
 
 #[test]
 fn event_loop_is_counter_exact_on_uncached_loopback() {
-    let run = |mode: TransferMode| {
-        let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, false));
-        s.fbs.set_transfer_mode(mode);
-        for _ in 0..4 {
-            s.send_message(16 << 10, false).unwrap();
-        }
-        (s.fbs.machine().now(), s.fbs.stats().snapshot())
-    };
-    assert_eq!(run(TransferMode::DirectCall), run(TransferMode::EventLoop));
+    let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, false));
+    for _ in 0..4 {
+        s.send_message(16 << 10, false).unwrap();
+    }
+    let snap = s.fbs.stats().snapshot();
+    assert_golden(
+        "uncached loopback",
+        s.fbs.machine().now(),
+        &snap,
+        &UNCACHED_LOOPBACK,
+    );
 }
 
 #[test]
 fn event_loop_is_counter_exact_on_osiris_end_to_end() {
-    let run = |mode: TransferMode| {
-        let mut cfg = machine();
-        cfg.phys_mem = 16 << 20;
-        let mut e = EndToEnd::new(cfg, EndToEndConfig::fig5(DomainSetup::User));
-        e.tx.fbs.set_transfer_mode(mode);
-        e.rx.fbs.set_transfer_mode(mode);
-        for _ in 0..3 {
-            e.send_message(50_000, 1, true).unwrap();
-        }
-        (
-            e.tx.fbs.machine().now(),
-            e.rx.fbs.machine().now(),
-            e.tx.fbs.stats().snapshot(),
-            e.rx.fbs.stats().snapshot(),
-        )
-    };
-    assert_eq!(run(TransferMode::DirectCall), run(TransferMode::EventLoop));
+    let mut cfg = machine();
+    cfg.phys_mem = 16 << 20;
+    let mut e = EndToEnd::new(cfg, EndToEndConfig::fig5(DomainSetup::User));
+    for _ in 0..3 {
+        e.send_message(50_000, 1, true).unwrap();
+    }
+    let (tx, rx) = (e.tx.fbs.stats().snapshot(), e.rx.fbs.stats().snapshot());
+    assert_golden("osiris tx", e.tx.fbs.machine().now(), &tx, &OSIRIS_TX);
+    assert_golden("osiris rx", e.rx.fbs.machine().now(), &rx, &OSIRIS_RX);
 }
 
 #[test]
 fn event_loop_is_counter_exact_on_proxy_graph_chain() {
     // The x-kernel proxy path: multi-fbuf messages forwarded down a
     // three-domain protocol chain, secured at the boundary, then freed.
-    let run = |mode: TransferMode| {
-        let mut fbs = FbufSystem::new(machine());
-        fbs.set_transfer_mode(mode);
-        let producer = fbs.create_domain();
-        let middle = fbs.create_domain();
-        let consumer = fbs.create_domain();
-        let path = fbs.create_path(vec![producer, middle, consumer]).unwrap();
-        let mut refs = MsgRefs::new();
-        for round in 0..4u8 {
-            let a = fbs
-                .alloc(producer, AllocMode::Cached(path), 4096)
-                .unwrap();
-            let b = fbs.alloc(producer, AllocMode::Uncached, 8192).unwrap();
-            fbs.write_fbuf(producer, a, 0, &[round; 16]).unwrap();
-            fbs.write_fbuf(producer, b, 0, &[round; 16]).unwrap();
-            let msg = Msg::from_fbuf(a, 0, 4096).concat(&Msg::from_fbuf(b, 0, 8192));
-            refs.adopt(producer, &msg);
-            deliver(&mut fbs, &mut refs, &msg, producer, middle, SendMode::Volatile).unwrap();
-            deliver(&mut fbs, &mut refs, &msg, middle, consumer, SendMode::Secure).unwrap();
-            refs.release(&mut fbs, consumer, &msg).unwrap();
-            refs.release(&mut fbs, middle, &msg).unwrap();
-            refs.release(&mut fbs, producer, &msg).unwrap();
-        }
-        (fbs.machine().now(), fbs.stats().snapshot())
-    };
-    assert_eq!(run(TransferMode::DirectCall), run(TransferMode::EventLoop));
+    let mut fbs = FbufSystem::new(machine());
+    let producer = fbs.create_domain();
+    let middle = fbs.create_domain();
+    let consumer = fbs.create_domain();
+    let path = fbs.create_path(vec![producer, middle, consumer]).unwrap();
+    let mut refs = MsgRefs::new();
+    for round in 0..4u8 {
+        let a = fbs.alloc(producer, AllocMode::Cached(path), 4096).unwrap();
+        let b = fbs.alloc(producer, AllocMode::Uncached, 8192).unwrap();
+        fbs.write_fbuf(producer, a, 0, &[round; 16]).unwrap();
+        fbs.write_fbuf(producer, b, 0, &[round; 16]).unwrap();
+        let msg = Msg::from_fbuf(a, 0, 4096).concat(&Msg::from_fbuf(b, 0, 8192));
+        refs.adopt(producer, &msg);
+        deliver(
+            &mut fbs,
+            &mut refs,
+            &msg,
+            producer,
+            middle,
+            SendMode::Volatile,
+        )
+        .unwrap();
+        deliver(
+            &mut fbs,
+            &mut refs,
+            &msg,
+            middle,
+            consumer,
+            SendMode::Secure,
+        )
+        .unwrap();
+        refs.release(&mut fbs, consumer, &msg).unwrap();
+        refs.release(&mut fbs, middle, &msg).unwrap();
+        refs.release(&mut fbs, producer, &msg).unwrap();
+    }
+    let snap = fbs.stats().snapshot();
+    assert_golden("proxy chain", fbs.machine().now(), &snap, &PROXY_CHAIN);
 }
 
 #[test]
 fn event_loop_is_counter_exact_on_integrated_aggregates() {
     // The integrated-aggregate path: one RPC carries only a root pointer;
     // the kernel walks the DAG and transfers every reachable fbuf.
-    let run = |mode: TransferMode| {
-        let mut fbs = FbufSystem::new(machine());
-        fbs.set_transfer_mode(mode);
-        integrated::install_null_template(&mut fbs);
-        let a = fbs.create_domain();
-        let b = fbs.create_domain();
-        for _ in 0..3 {
-            let data = fbs.alloc(a, AllocMode::Uncached, 8192).unwrap();
-            fbs.write_fbuf(a, data, 0, b"hello ").unwrap();
-            fbs.write_fbuf(a, data, 4096, b"world").unwrap();
-            let va = fbs.fbuf(data).unwrap().va;
-            let mut builder = DagBuilder::new(&mut fbs, a, AllocMode::Uncached, 8).unwrap();
-            let l1 = builder.leaf(&mut fbs, va, 6).unwrap();
-            let l2 = builder.leaf(&mut fbs, va + 4096, 5).unwrap();
-            let root = builder.concat(&mut fbs, l1, l2).unwrap();
-            let msg = integrated::IntegratedMsg { root };
-            deliver_integrated(&mut fbs, msg, a, b, SendMode::Volatile, TraverseLimits::default())
-                .unwrap();
-            let got = integrated::gather(&mut fbs, b, msg, TraverseLimits::default()).unwrap();
-            assert_eq!(got, b"hello world");
-        }
-        (fbs.machine().now(), fbs.stats().snapshot())
-    };
-    assert_eq!(run(TransferMode::DirectCall), run(TransferMode::EventLoop));
+    let mut fbs = FbufSystem::new(machine());
+    integrated::install_null_template(&mut fbs);
+    let a = fbs.create_domain();
+    let b = fbs.create_domain();
+    for _ in 0..3 {
+        let data = fbs.alloc(a, AllocMode::Uncached, 8192).unwrap();
+        fbs.write_fbuf(a, data, 0, b"hello ").unwrap();
+        fbs.write_fbuf(a, data, 4096, b"world").unwrap();
+        let va = fbs.fbuf(data).unwrap().va;
+        let mut builder = DagBuilder::new(&mut fbs, a, AllocMode::Uncached, 8).unwrap();
+        let l1 = builder.leaf(&mut fbs, va, 6).unwrap();
+        let l2 = builder.leaf(&mut fbs, va + 4096, 5).unwrap();
+        let root = builder.concat(&mut fbs, l1, l2).unwrap();
+        let msg = integrated::IntegratedMsg { root };
+        deliver_integrated(
+            &mut fbs,
+            msg,
+            a,
+            b,
+            SendMode::Volatile,
+            TraverseLimits::default(),
+        )
+        .unwrap();
+        let got = integrated::gather(&mut fbs, b, msg, TraverseLimits::default()).unwrap();
+        assert_eq!(got, b"hello world");
+    }
+    let snap = fbs.stats().snapshot();
+    assert_golden(
+        "integrated aggregates",
+        fbs.machine().now(),
+        &snap,
+        &INTEGRATED,
+    );
 }
 
 #[test]
@@ -444,9 +595,8 @@ fn armed_containment_is_byte_identical_on_benign_workloads() {
     // jail + transfer revocation deadline) armed at its default
     // thresholds must be invisible to every benign workload — not one
     // simulated nanosecond, not one counter. Pinned across the five
-    // workload shapes this file already pins for the event loop.
+    // workload shapes this file already pins to engine goldens.
     use fbufs::fbuf::JailConfig;
-    use fbufs::sim::Ns;
 
     let arm = |fbs: &mut FbufSystem, on: bool| {
         if on {
