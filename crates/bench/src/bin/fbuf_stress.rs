@@ -13,7 +13,10 @@
 //! clears, every allocation — local, egress, and ingress — a cache hit)
 //! over the measured window, then records the wall-clock scaling curve
 //! (ops/sec, speedup, efficiency vs linear) under `host.scaling` in
-//! `BENCH_stress.json`.
+//! `BENCH_stress.json`. Telemetry rides along on every run; its own host
+//! cost is reported under `host.telemetry`: ns per fbuf op at the widest
+//! configuration with telemetry off and on, each the minimum of
+//! [`COST_RUNS`] runs, the two sides interleaved.
 //!
 //! Environment knobs:
 //!
@@ -57,7 +60,8 @@
 //! well-formed (strictly increasing thread counts, positive ops/sec,
 //! efficiency in (0, 1.05]) and still satisfy any recorded
 //! `host.scaling_floor`, and the stress report itself must carry a
-//! non-empty curve. `LEDGER_*.json`
+//! non-empty curve and a well-formed `host.telemetry` cost block (no
+//! bound is placed on the cost). `LEDGER_*.json`
 //! artifacts (written by `fbuf-ledger`) are validated too: tables present
 //! and the embedded conservation check clean.
 
@@ -79,6 +83,9 @@ fn default_thread_counts() -> Vec<usize> {
     [1, 2, 4, 8].into_iter().filter(|&n| n <= cores).collect()
 }
 
+/// Runs per side behind the `host.telemetry` cost block.
+const COST_RUNS: usize = 3;
+
 /// Fleet wall-clock throughput of one run.
 fn ops_per_sec(r: &FleetRun) -> f64 {
     r.ops as f64 * 1e9 / r.host_ns as f64
@@ -96,33 +103,16 @@ struct FleetRun {
     sim_elapsed: Ns,
 }
 
-/// Runs the fleet at one thread count and asserts the per-shard
-/// steady-state invariants plus cross-shard payload conservation.
-fn run_at(
-    threads: usize,
-    machine: &MachineConfig,
-    paths: usize,
-    pages: u64,
-    cycles: u64,
-    cross_every: u64,
-    notice_batch: usize,
-) -> Result<FleetRun, String> {
+/// Runs the `base` fleet at one thread count, with telemetry on or off,
+/// and asserts the per-shard steady-state invariants plus cross-shard
+/// payload conservation.
+fn run_at(base: &FleetConfig, threads: usize, metrics: bool) -> Result<FleetRun, String> {
+    // Sampling is cadence-gated on simulated time and never touches the
+    // counters the steady-state invariant asserts.
     let cfg = FleetConfig {
         shards: threads,
-        machine: machine.clone(),
-        paths,
-        pages,
-        cycles,
-        cross_every,
-        channel_capacity: 16,
-        notice_batch,
-        trace: false,
-        // Telemetry rides along: sampling is cadence-gated on simulated
-        // time and never touches the counters the steady-state
-        // invariant asserts (it does cost a little host time, uniformly
-        // across thread counts).
-        metrics: true,
-        fault: None,
+        metrics,
+        ..base.clone()
     };
     let reports = run_fleet(&cfg);
     for r in &reports {
@@ -223,6 +213,34 @@ fn check_scaling(name: &str, doc: &Json, required: bool) -> Result<(), String> {
                 "{name}: efficiency {eff:.3} at {ft} thread(s) is below the recorded floor {fe:.3}"
             ));
         }
+    }
+    Ok(())
+}
+
+/// Validates the stress report's `host.telemetry` cost block: a thread
+/// and path count, the runs per side, and positive ns per op with
+/// telemetry off and on whose ratio `on_over_off` matches.
+fn check_telemetry_cost(name: &str, doc: &Json) -> Result<(), String> {
+    let cost = doc
+        .get("host")
+        .and_then(|h| h.get("telemetry"))
+        .ok_or(format!("{name}: stress report lacks a host.telemetry cost block"))?;
+    let field = |key: &str| {
+        cost.get(key)
+            .and_then(Json::as_f64)
+            .filter(|v| v.is_finite() && *v > 0.0)
+            .ok_or(format!("{name}: host.telemetry.{key} is not a positive number"))
+    };
+    for key in ["threads", "paths", "runs"] {
+        field(key)?;
+    }
+    let (off, on) = (field("off_ns_per_op")?, field("on_ns_per_op")?);
+    let ratio = field("on_over_off")?;
+    if (ratio - on / off).abs() > 1e-6 * ratio {
+        return Err(format!(
+            "{name}: host.telemetry.on_over_off = {ratio} but on/off = {}",
+            on / off
+        ));
     }
     Ok(())
 }
@@ -381,6 +399,9 @@ fn check_reports(dir: &str) -> Result<usize, String> {
         check_repro(&name, &doc)?;
         check_telemetry(&name, &doc, name == "BENCH_stress.json")?;
         check_scaling(&name, &doc, name == "BENCH_stress.json")?;
+        if name == "BENCH_stress.json" {
+            check_telemetry_cost(&name, &doc)?;
+        }
         checked += 1;
     }
     if checked == 0 {
@@ -429,6 +450,14 @@ fn main() -> ExitCode {
     cfg.phys_mem = 64 << 20;
     cfg.chunk_size = 1 << 20;
     let len = pages * cfg.page_size;
+    let base = FleetConfig {
+        paths: npaths,
+        pages,
+        cross_every,
+        channel_capacity: 16,
+        notice_batch,
+        ..FleetConfig::new(1, cfg, cycles)
+    };
 
     println!(
         "== fbuf-stress: {} cycles across {} path(s), {} page(s)/buffer, threads {:?}, cross-shard every {} ==",
@@ -437,7 +466,7 @@ fn main() -> ExitCode {
 
     let mut runs = Vec::with_capacity(threads.len());
     for &n in &threads {
-        match run_at(n, &cfg, npaths, pages, cycles, cross_every, notice_batch) {
+        match run_at(&base, n, true) {
             Ok(run) => {
                 println!(
                     "{:>2} thread(s): {:>10} fbuf ops in {:>8.1} ms host ({:.3} us/cycle simulated, {} cross-shard payloads)",
@@ -510,6 +539,27 @@ fn main() -> ExitCode {
         }
     }
 
+    // Telemetry's own host cost at the widest configuration: ns per op
+    // off and on, min of COST_RUNS each, interleaved so drift in the
+    // host's load hits both sides alike.
+    let mut cost = [f64::INFINITY; 2];
+    for _ in 0..COST_RUNS {
+        for (side, metrics) in [false, true].into_iter().enumerate() {
+            match run_at(&base, max_threads, metrics) {
+                Ok(run) => cost[side] = cost[side].min(run.host_ns as f64 / run.ops.max(1) as f64),
+                Err(e) => {
+                    eprintln!("fbuf-stress FAILED in the telemetry cost runs: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+    }
+    let [off_ns, on_ns] = cost;
+    println!(
+        "telemetry cost at {max_threads} thread(s): {off_ns:.1} ns/op off, {on_ns:.1} ns/op on ({:.2}x, min of {COST_RUNS} interleaved)",
+        on_ns / off_ns
+    );
+
     let first = &runs[0];
     let sim_us_per_cycle = first.sim_elapsed.as_us_f64()
         / (cycles.max(1) as f64 / first.threads as f64);
@@ -544,6 +594,17 @@ fn main() -> ExitCode {
     if let Some((gate_threads, floor)) = eff_floor {
         runner.host_scaling_floor(gate_threads, floor);
     }
+    runner.host_entry(
+        "telemetry",
+        Json::obj(vec![
+            ("threads", (max_threads as u64).to_json()),
+            ("paths", (npaths as u64).to_json()),
+            ("runs", (COST_RUNS as u64).to_json()),
+            ("off_ns_per_op", off_ns.to_json()),
+            ("on_ns_per_op", on_ns.to_json()),
+            ("on_over_off", (on_ns / off_ns).to_json()),
+        ]),
+    );
     // One coherent fleet snapshot: the counter merge of the largest run.
     let widest = runs.last().expect("at least one run");
     runner.counters(&fleet_snapshot(&widest.reports));
@@ -595,6 +656,7 @@ fn main() -> ExitCode {
     assert!(doc.get("host").is_some(), "stress report carries a host block");
     if let Err(e) = check_repro("BENCH_stress.json", &doc)
         .and_then(|()| check_scaling("BENCH_stress.json", &doc, true))
+        .and_then(|()| check_telemetry_cost("BENCH_stress.json", &doc))
     {
         eprintln!("fbuf-stress FAILED: own report rejected: {e}");
         return ExitCode::FAILURE;

@@ -42,12 +42,12 @@
 //! [`fleet_snapshot`] and [`fleet_trace`] fold those into the single
 //! coherent view a fleet-level report needs.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Barrier;
 use std::time::Instant;
 
-use fbuf_sim::metrics::{self, GaugeCache, SeriesSnapshot};
+use fbuf_sim::metrics::{self, Row, SeriesSnapshot};
 use fbuf_sim::spsc::{self, Consumer, Producer};
 use fbuf_sim::{trace, EventKind, FaultSite, FaultSpec, MachineConfig, Ns, StatsSnapshot, TraceEvent};
 use fbuf_vm::DomainId;
@@ -231,9 +231,10 @@ pub struct Shard {
     /// shared metrics cadence at its internal checkpoints (alloc, hop
     /// dispatch), so the shard-only gauges (ring occupancy, burst size,
     /// coalescing factor) would starve if they waited on `Metrics::due`.
-    next_shard_sample: std::cell::Cell<u64>,
-    /// Handles of the [`SHARD_GAUGES`], keyed by position.
-    gauges: RefCell<GaugeCache>,
+    next_shard_sample: Cell<u64>,
+    /// The telemetry row of the [`SHARD_GAUGES`] this shard samples, and
+    /// which of its two optional ring columns (out, in) it has.
+    sample_row: Cell<Option<(Row, [bool; 2])>>,
     /// Measured-window activity counters (reset by
     /// [`Shard::reset_activity`] after warm-up).
     pub cycles: u64,
@@ -317,8 +318,8 @@ impl Shard {
             coalesce: coalesce.clamp(1, NOTICE_BATCH_MAX),
             drain_buf: Vec::new(),
             last_drain: 0,
-            next_shard_sample: std::cell::Cell::new(0),
-            gauges: RefCell::default(),
+            next_shard_sample: Cell::new(0),
+            sample_row: Cell::new(None),
             cycles: 0,
             sent: 0,
             received: 0,
@@ -672,13 +673,27 @@ impl Shard {
             Some(self.last_drain),
             Some(factor),
         ];
-        let mut gauges = self.gauges.borrow_mut();
-        for (k, value) in values.into_iter().enumerate() {
-            if let Some(value) = value {
-                let g = gauges.get(m, k, |m| m.fixed_gauge(SHARD_GAUGES[k]));
-                m.record(now, g, value);
+        let rings = [values[0].is_some(), values[1].is_some()];
+        let row = match self.sample_row.get() {
+            Some((row, had)) if had == rings && m.is_current(row) => row,
+            cur => {
+                let names: Vec<&str> = SHARD_GAUGES
+                    .iter()
+                    .zip(&values)
+                    .filter(|(_, v)| v.is_some())
+                    .map(|(&name, _)| name)
+                    .collect();
+                let row = m.register_row(cur.map(|(row, _)| row), &names, &[]);
+                self.sample_row.set(Some((row, rings)));
+                row
             }
-        }
+        };
+        let width = values.iter().flatten().count();
+        m.push_row(row, now, width, |cols| {
+            for (col, v) in cols.iter_mut().zip(values.into_iter().flatten()) {
+                *col = v;
+            }
+        });
     }
 
     /// Zeroes the measured-window activity counters (after warm-up).

@@ -33,12 +33,12 @@
 //!   [`FbufSystem::reclaim_frames`] pops victims lazily instead of
 //!   materializing a global victim vector.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use fbuf_ipc::Rpc;
-use fbuf_sim::metrics::GaugeCache;
+use fbuf_sim::metrics::{Metrics, Row};
 use fbuf_sim::{
     slot_of, Arena, CostCategory, EventKind, FaultPlan, FaultSite, MachineConfig, Ns, Stats,
 };
@@ -184,8 +184,11 @@ pub struct FbufSystem {
     /// the engine ([`FbufSystem::submit_transfer`]); `None` disables
     /// timeout-driven reclaim.
     pub(crate) revoke_timeout: Option<Ns>,
-    /// Telemetry handles of [`FbufSystem::sample_gauges_at`].
-    gauges: RefCell<SystemGauges>,
+    /// Bumped whenever the sampled columns can change: a domain is
+    /// registered or terminated, a path is created or dies.
+    layout_gen: u64,
+    /// The telemetry row of [`FbufSystem::sample_gauges_at`].
+    sample_row: Cell<Option<SampleRow>>,
 }
 
 /// The system-wide gauges, in sampling order (always admitted: the
@@ -201,16 +204,20 @@ const SYSTEM_GAUGES: [&str; 5] = [
 /// The per-path gauges, sampled as `path<i>.<gauge>`.
 const PATH_GAUGES: [&str; 3] = ["parked", "chunks", "threshold"];
 
-/// Gauge handles [`FbufSystem::sample_gauges_at`] caches across samples,
-/// each resolved on the first sample that sees its gauge.
-#[derive(Debug, Default)]
-struct SystemGauges {
-    /// [`SYSTEM_GAUGES`], keyed by position.
-    fixed: GaugeCache,
-    /// [`PATH_GAUGES`] of path slot `i`, keyed `3 * i + k`.
-    paths: GaugeCache,
-    /// `inbox<d>`, keyed by domain slot `d`.
-    inboxes: GaugeCache,
+/// The row [`FbufSystem::sample_gauges_at`] records, and the layout it
+/// was registered for: the [`SYSTEM_GAUGES`], the [`PATH_GAUGES`] of
+/// every live path, then `inbox<d>` of every registered domain.
+#[derive(Debug, Clone, Copy)]
+struct SampleRow {
+    row: Row,
+    /// [`FbufSystem`]'s `layout_gen` at registration.
+    layout_gen: u64,
+    /// Live paths: the row has `3 * paths` path columns.
+    paths: usize,
+    /// Inbox columns. They are registered on the first sample taken
+    /// with the event loop in place; a sample without it stops short
+    /// of them.
+    inboxes: Option<usize>,
 }
 
 /// Free-list reuse order (see [`FbufSystem::reuse_policy`]).
@@ -348,7 +355,8 @@ impl FbufSystem {
             jail_progress: Vec::new(),
             jail_strikes: Vec::new(),
             revoke_timeout: None,
-            gauges: RefCell::default(),
+            layout_gen: 0,
+            sample_row: Cell::new(None),
         };
         let kernel = fbuf_vm::KERNEL_DOMAIN;
         sys.machine
@@ -371,6 +379,7 @@ impl FbufSystem {
             self.jail_strikes.resize(need, 0);
         }
         self.registered[dom.0 as usize] = true;
+        self.layout_gen += 1;
         // A fresh tenant starts with a clean hoard clock: it is not
         // penalized for rounds that passed before it existed.
         self.jail_progress[dom.0 as usize] = self.alloc_seq;
@@ -457,7 +466,7 @@ impl FbufSystem {
     }
 
     /// Takes a telemetry sample if one is due at the simulated now
-    /// (no-op unless the machine's [`Metrics`](fbuf_sim::Metrics) are
+    /// (no-op unless the machine's [`Metrics`] are
     /// enabled and a cadence period has elapsed — one `Cell` read when
     /// disabled, and never any simulated cost).
     pub fn sample_metrics(&self) {
@@ -474,56 +483,81 @@ impl FbufSystem {
     /// the metrics are enabled). Callers that own the cadence (the
     /// shard loop, which adds ring-occupancy gauges of its own) use this
     /// directly; everyone else goes through
-    /// [`FbufSystem::sample_metrics`]. Each gauge is registered on the
-    /// first sample that sees it; after that a sample formats no name
-    /// and searches no table.
+    /// [`FbufSystem::sample_metrics`]. A sample is one row, written in
+    /// place; names are formatted and registered only when the layout
+    /// changes. Inside a hop handler the event loop is out of place, so
+    /// the row stops short of the inbox columns.
     pub fn sample_gauges_at(&self, now: Ns) {
         let m = self.machine.metrics_ref();
         if !m.is_enabled() {
             return;
         }
-        let mut gauges = self.gauges.borrow_mut();
-        let SystemGauges {
-            fixed,
-            paths,
-            inboxes,
-        } = &mut *gauges;
+        let engine = self.engine.as_ref();
+        let layout = self.sample_row(m, engine.is_some());
+        let path_end = SYSTEM_GAUGES.len() + PATH_GAUGES.len() * layout.paths;
+        let width = path_end + engine.and(layout.inboxes).unwrap_or(0);
         let free = self.chunk_alloc.available();
-        let system = [
-            self.fbufs.len() as u64,
-            self.parked_count,
-            self.engine.as_ref().map_or(0, fbuf_ipc::EventLoop::pending) as u64,
-            self.machine.stats_ref().overload_drops(),
-            free,
-        ];
-        for (k, value) in system.into_iter().enumerate() {
-            let g = fixed.get(m, k, |m| m.fixed_gauge(SYSTEM_GAUGES[k]));
-            m.record(now, g, value);
-        }
         let quota = self.machine.config().max_chunks_per_path;
-        for (i, p) in self.paths.iter().enumerate() {
-            if p.live {
-                let values = [
+        m.push_row(layout.row, now, width, |values| {
+            let (system, rest) = values.split_at_mut(SYSTEM_GAUGES.len());
+            system.copy_from_slice(&[
+                self.fbufs.len() as u64,
+                self.parked_count,
+                engine.map_or(0, fbuf_ipc::EventLoop::pending) as u64,
+                self.machine.stats_ref().overload_drops(),
+                free,
+            ]);
+            let (paths, inboxes) = rest.split_at_mut(path_end - SYSTEM_GAUGES.len());
+            let live = self.paths.iter().filter(|p| p.live);
+            for (cols, p) in paths.chunks_exact_mut(PATH_GAUGES.len()).zip(live) {
+                cols.copy_from_slice(&[
                     p.parked() as u64,
                     self.path_chunks(p.id) as u64,
                     self.policy.threshold(free, quota, self.path_class(p.id)),
-                ];
-                for (k, value) in values.into_iter().enumerate() {
-                    let g = paths.get(m, 3 * i + k, |m| {
-                        m.gauge(&format!("path{i}.{}", PATH_GAUGES[k]))
-                    });
-                    m.record(now, g, value);
+                ]);
+            }
+            if let Some(e) = engine {
+                let doms = (0..self.registered.len()).filter(|&d| self.registered[d]);
+                for (col, d) in inboxes.iter_mut().zip(doms) {
+                    *col = e.inbox_len(DomainId(d as u32)) as u64;
                 }
             }
+        });
+    }
+
+    /// The system's telemetry row, registered again whenever its layout
+    /// is stale: after a metrics clear, a domain or path change, or on
+    /// the first sample with the event loop in place.
+    fn sample_row(&self, m: &Metrics, engine: bool) -> SampleRow {
+        let cur = self.sample_row.get();
+        if let Some(cur) = cur.filter(|c| {
+            m.is_current(c.row)
+                && c.layout_gen == self.layout_gen
+                && (c.inboxes.is_some() || !engine)
+        }) {
+            return cur;
         }
-        if let Some(e) = &self.engine {
-            for d in 0..self.registered.len() {
-                if self.registered[d] {
-                    let g = inboxes.get(m, d, |m| m.gauge(&format!("inbox{d}")));
-                    m.record(now, g, e.inbox_len(DomainId(d as u32)) as u64);
-                }
-            }
+        let live: Vec<usize> = (0..self.paths.len())
+            .filter(|&i| self.paths[i].live)
+            .collect();
+        let doms: Vec<usize> = (0..self.registered.len())
+            .filter(|&d| self.registered[d])
+            .collect();
+        let mut capped = Vec::new();
+        for i in &live {
+            capped.extend(PATH_GAUGES.iter().map(|g| format!("path{i}.{g}")));
         }
+        if engine {
+            capped.extend(doms.iter().map(|d| format!("inbox{d}")));
+        }
+        let next = SampleRow {
+            row: m.register_row(cur.map(|c| c.row), &SYSTEM_GAUGES, &capped),
+            layout_gen: self.layout_gen,
+            paths: live.len(),
+            inboxes: engine.then_some(doms.len()),
+        };
+        self.sample_row.set(Some(next));
+        next
     }
 
     /// Arms a fault-injection plan across the whole engine: the fbuf
@@ -566,6 +600,7 @@ impl FbufSystem {
         let id = PathId(self.paths.len() as u64);
         self.paths.push(DataPath::new(id, domains));
         self.path_class.push(0);
+        self.layout_gen += 1;
         Ok(id)
     }
 
@@ -1620,6 +1655,7 @@ impl FbufSystem {
         self.machine.terminate_domain(dom)?;
         self.registered[dom.0 as usize] = false;
         self.terminated[dom.0 as usize] = true;
+        self.layout_gen += 1;
         // 4. Release the domain's chunks now, or park them until external
         //    references drain.
         self.maybe_release_zombie_chunks(dom);
@@ -2116,5 +2152,32 @@ mod tests {
             assert!(s.fbuf(id).is_err());
         }
         assert_eq!(s.live_fbufs(), 0);
+    }
+
+    #[test]
+    fn telemetry_row_follows_path_and_domain_changes() {
+        // A path created, and domains terminated, after sampling began
+        // change the sampled columns from the next sample on.
+        let (mut s, a, b, c) = sys();
+        let m = s.machine().metrics();
+        m.set_enabled(true);
+        s.sample_gauges_at(Ns(0));
+        s.create_path(vec![a, b]).unwrap();
+        s.sample_gauges_at(Ns(1));
+        s.terminate_domain(c).unwrap();
+        s.sample_gauges_at(Ns(2));
+        // The path dies with `b`.
+        s.terminate_domain(b).unwrap();
+        s.sample_gauges_at(Ns(3));
+        let series = m.series();
+        let sampled_at = |name: String| -> Vec<u64> {
+            let s = series.iter().find(|s| s.name == name).expect("series exists");
+            s.points.iter().map(|p| p.at.0).collect()
+        };
+        assert_eq!(sampled_at("live_fbufs".into()), [0, 1, 2, 3]);
+        assert_eq!(sampled_at("path0.chunks".into()), [1, 2]);
+        assert_eq!(sampled_at(format!("inbox{}", a.0)), [0, 1, 2, 3]);
+        assert_eq!(sampled_at(format!("inbox{}", b.0)), [0, 1, 2]);
+        assert_eq!(sampled_at(format!("inbox{}", c.0)), [0, 1]);
     }
 }

@@ -141,6 +141,8 @@ pub struct BenchRunner {
     /// (`host.scaling_floor`): readers of the report — including
     /// `fbuf-stress --check` — re-enforce it against the scaling curve.
     host_scaling_floor: Option<(u64, f64)>,
+    /// Further `host.<key>` blocks, in insertion order.
+    host_entries: Vec<(String, Json)>,
     /// RNG seed the workload ran under (the `repro` header).
     seed: u64,
     /// OS threads the workload ran across (the `repro` header).
@@ -180,6 +182,7 @@ impl BenchRunner {
             host_throughput: Vec::new(),
             host_scaling: Vec::new(),
             host_scaling_floor: None,
+            host_entries: Vec::new(),
             seed,
             threads: 1,
             params: Vec::new(),
@@ -269,6 +272,12 @@ impl BenchRunner {
     /// the embedded scaling curve, turning the gate into a ratchet.
     pub fn host_scaling_floor(&mut self, threads: u64, efficiency: f64) {
         self.host_scaling_floor = Some((threads, efficiency));
+    }
+
+    /// Attaches a further host-time block to the report under
+    /// `host.<key>` (e.g. `fbuf-stress`'s `host.telemetry` cost).
+    pub fn host_entry(&mut self, key: &str, value: Json) {
+        self.host_entries.push((key.to_string(), value));
     }
 
     /// Attaches a regenerated paper artifact (table rows, figure curves) to
@@ -427,6 +436,7 @@ impl BenchRunner {
                 ]),
             ));
         }
+        host_fields.extend(self.host_entries.iter().map(|(k, v)| (k.as_str(), v.clone())));
         let host = Json::obj(host_fields);
         let repro = Json::obj(vec![
             ("seed", self.seed.to_json()),
@@ -644,10 +654,10 @@ mod tests {
         // [t, v] points in sampling order.
         let m = metrics::Metrics::new();
         m.set_enabled(true);
-        let inbox0 = m.gauge("inbox0");
-        m.record(crate::Ns(10), inbox0, 3);
+        let row = m.register_row(None, &[], &["inbox0".to_string()]);
+        m.push_row(row, crate::Ns(10), 1, |v| v[0] = 3);
         m.advance(crate::Ns(20_000));
-        m.record(crate::Ns(20_000), inbox0, 5);
+        m.push_row(row, crate::Ns(20_000), 1, |v| v[0] = 5);
         let mut r = BenchRunner::named("with_telemetry", 1);
         r.measure("x", Unit::SimUs, || 1.0);
         r.telemetry(metrics::DEFAULT_CADENCE_NS, &m.series());
@@ -758,6 +768,15 @@ mod tests {
         // Absent unless explicitly set.
         let bare = BenchRunner::named("bare", 1).report();
         assert!(bare.get("host").unwrap().get("scaling_floor").is_none());
+    }
+
+    #[test]
+    fn host_entries_travel_in_the_host_block() {
+        let mut r = BenchRunner::named("costed", 1);
+        r.host_entry("telemetry", Json::obj(vec![("on_ns_per_op", 2.5.to_json())]));
+        let doc = r.report();
+        let t = doc.get("host").unwrap().get("telemetry").expect("entry recorded");
+        assert_eq!(t.get("on_ns_per_op").unwrap().as_f64(), Some(2.5));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! merged fleet traces, the Chrome export schema, causal span
 //! propagation across shard rings, and per-tenant ledger conservation.
 
-use fbufs::fbuf::shard::{fleet_ledger, fleet_telemetry, fleet_trace, run_fleet, FleetConfig};
-use fbufs::fbuf::{AllocMode, FbufSystem, SendMode};
+use fbufs::fbuf::shard::{
+    fleet_ledger, fleet_telemetry, fleet_trace, run_fleet, FleetConfig, Links, Shard,
+};
+use fbufs::fbuf::{run_offered_load, AllocMode, FbufSystem, QueueConfig, SendMode};
 use fbufs::net::{LoopbackConfig, LoopbackStack};
 use fbufs::sim::metrics::{telemetry_json, DEFAULT_CADENCE_NS};
 use fbufs::sim::spans::reconstruct;
@@ -227,6 +229,47 @@ fn fleet_telemetry_block(shards: usize, cross_every: u64) -> (usize, u64, usize)
     fingerprint(&telemetry_json(DEFAULT_CADENCE_NS, &merged).render(), names)
 }
 
+/// The telemetry block of one shard driven by hand (no rings) for
+/// `cycles` local cycles, sampling after each, with the series rings
+/// resized to `cap` points after `resize_after` cycles, and the
+/// shard's `refused_names` count.
+fn shard_telemetry(
+    paths: usize,
+    cycles: u64,
+    resize_after: u64,
+    cap: usize,
+) -> ((usize, u64, usize), u64) {
+    let mut sh = Shard::new(0, fleet_machine(), paths, 1);
+    let m = sh.sys.machine().metrics();
+    m.set_enabled(true);
+    sh.warm_local();
+    let links = Links::default();
+    for i in 0..cycles {
+        if i == resize_after {
+            m.set_capacity(cap);
+        }
+        sh.local_cycle();
+        sh.sample_telemetry(&links);
+    }
+    let names = m.series().into_iter().map(|s| s.name).collect();
+    (fingerprint(&m.to_json().render(), names), m.refused_names())
+}
+
+/// The telemetry block of an engine-driven offered-load run: samples
+/// taken inside a hop handler (the loop is out of place) carry no
+/// `inbox<d>` gauges, samples taken between drains do.
+fn offered_load_telemetry() -> (usize, u64, usize) {
+    let report = run_offered_load(&QueueConfig {
+        transfers: 96,
+        burst: 6,
+        hops: 3,
+        ..QueueConfig::default()
+    })
+    .unwrap();
+    let names = report.telemetry.iter().map(|s| s.name.clone()).collect();
+    fingerprint(&telemetry_json(DEFAULT_CADENCE_NS, &report.telemetry).render(), names)
+}
+
 #[test]
 fn telemetry_blocks_match_their_golden_fingerprints() {
     // Golden values captured before gauges were registered behind
@@ -241,4 +284,19 @@ fn telemetry_blocks_match_their_golden_fingerprints() {
         fleet_telemetry_block(1, 4),
         (344764, 14698316931145641937, 34)
     );
+
+    // Golden values captured before samples were recorded as rows.
+    // Every ring wraps: a shrink to 37 points, with samples pending,
+    // after 300 cycles at the default capacity.
+    assert_eq!(
+        shard_telemetry(4, 900, 300, 37),
+        ((25179, 1588051402618127169, 44), 0)
+    );
+    // 16 paths exceed the 64-series cap: refused names are counted.
+    assert_eq!(
+        shard_telemetry(16, 300, u64::MAX, 0),
+        ((317992, 17245995890010452209, 72), 14608)
+    );
+    // In-handler samples of an offered-load run carry no inbox gauges.
+    assert_eq!(offered_load_telemetry(), (31907, 1715486646623416165, 12));
 }
