@@ -77,7 +77,7 @@ fn main() {
 
     let mut r = BenchRunner::new("aggregate_ops");
     // Which chunk-admission policy the run executed under (the system
-    // default here; fbuf-stress --check requires the field).
+    // default here; `BenchRunner::finish` requires the field).
     r.param("policy", fbuf::QuotaPolicy::default().name().to_json());
     r.param("msg_extents", 64u64);
     r.param("msg_fbufs", 16u64);

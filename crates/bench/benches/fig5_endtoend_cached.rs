@@ -15,7 +15,7 @@ fn main() {
     );
     let mut r = BenchRunner::new("fig5_endtoend_cached");
     // Which chunk-admission policy the run executed under (the system
-    // default here; fbuf-stress --check requires the field).
+    // default here; `BenchRunner::finish` requires the field).
     r.param("policy", fbuf::QuotaPolicy::default().name().to_json());
     r.param("size", 1u64 << 20);
     r.param("rounds", 3u64);

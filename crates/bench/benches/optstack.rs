@@ -32,7 +32,7 @@ fn main() {
 
     let mut r = BenchRunner::new("optstack");
     // Which chunk-admission policy the run executed under (the system
-    // default here; fbuf-stress --check requires the field).
+    // default here; `BenchRunner::finish` requires the field).
     r.param("policy", fbuf::QuotaPolicy::default().name().to_json());
     r.param("observe_size", 64u64 << 10);
     r.param("observe_iters", 4u64);

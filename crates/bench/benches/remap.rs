@@ -19,7 +19,7 @@ fn main() {
     }
     let mut r = BenchRunner::new("remap");
     // Which chunk-admission policy the run executed under (the system
-    // default here; fbuf-stress --check requires the field).
+    // default here; `BenchRunner::finish` requires the field).
     r.param("policy", fbuf::QuotaPolicy::default().name().to_json());
     r.param("pages", 8u64);
     r.param("rounds", 8u64);

@@ -42,8 +42,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use fbuf::{AllocMode, FbufError, FbufId, FbufSystem, JailConfig, PathId};
-use fbuf_bench::knobs;
 use fbuf_sim::bench::{BenchRunner, Unit};
+use fbuf_sim::knobs;
 use fbuf_sim::{Json, MachineConfig, Ns, ToJson};
 use fbuf_vm::DomainId;
 
@@ -225,6 +225,10 @@ fn run(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
 }
 
 fn main() -> ExitCode {
+    fbuf_bench::exit_status("fbuf-adversary", try_main())
+}
+
+fn try_main() -> Result<(), String> {
     let cfg = Config {
         tenants: knobs::count("FBUF_ADV_TENANTS", 8) as usize,
         rounds: knobs::count("FBUF_ADV_ROUNDS", 64),
@@ -236,13 +240,8 @@ fn main() -> ExitCode {
     );
 
     let host_t0 = Instant::now();
-    let (base, adv) = match (run(&cfg, false), run(&cfg, true)) {
-        (Ok(b), Ok(a)) => (b, a),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("fbuf-adversary FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let run = |hostile| run(&cfg, hostile).map_err(|e| e.to_string());
+    let (base, adv) = (run(false)?, run(true)?);
     let host_ns = host_t0.elapsed().as_nanos().max(1) as u64;
 
     for (name, r) in [("baseline", &base), ("contested", &adv)] {
@@ -298,10 +297,7 @@ fn main() -> ExitCode {
         }
     }
     if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("fbuf-adversary FAILED: {f}");
-        }
-        return ExitCode::FAILURE;
+        return Err(failures.join("; "));
     }
     println!(
         "gate: benign goodput {:.1}% of baseline, zero forged derefs, jail + both revocation paths exercised, ledger conserves",
@@ -329,7 +325,6 @@ fn main() -> ExitCode {
         "benign_transfers_completed",
         base.benign_completed + adv.benign_completed,
         host_ns,
-        None,
     );
     let side = |r: &RunReport| {
         Json::obj(vec![
@@ -347,14 +342,9 @@ fn main() -> ExitCode {
     runner.artifact("baseline", side(&base));
     runner.artifact("contested", side(&adv));
 
-    match runner.finish() {
-        Ok(path) => {
-            println!("report: {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fbuf-adversary FAILED: could not write report: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let path = runner
+        .finish()
+        .map_err(|e| format!("could not write report: {e}"))?;
+    println!("report: {}", path.display());
+    Ok(())
 }

@@ -39,39 +39,38 @@ use std::time::Instant;
 
 use fbuf::QuotaPolicy;
 use fbuf_bench::fanin::{run_fanin, FaninConfig, FaninReport};
-use fbuf_bench::knobs;
 use fbuf_sim::bench::{BenchRunner, Unit};
 use fbuf_sim::metrics::DEFAULT_CADENCE_NS;
-use fbuf_sim::{Json, Ns, ToJson};
+use fbuf_sim::{knobs, Json, Ns, ToJson};
 
-/// `FBUF_FANIN_POLICY` as a policy list; `all` (default) sweeps the
-/// three families in a fixed order.
-fn policies() -> Result<Vec<QuotaPolicy>, String> {
-    let raw = std::env::var("FBUF_FANIN_POLICY").unwrap_or_else(|_| "all".into());
-    if raw.trim() == "all" {
-        return Ok(vec![
+/// Parses the policy-list knob `name` (see [`knobs`]): `all`, or unset,
+/// sweeps the three families in a fixed order; otherwise a
+/// comma-separated subset of `static,fb-dynamic,priority`. An unknown
+/// name is an error naming the variable.
+fn parse_policies(name: &str, raw: Option<&str>) -> Result<Vec<QuotaPolicy>, String> {
+    match raw.map(str::trim) {
+        None | Some("all") => Ok(vec![
             QuotaPolicy::Static,
             QuotaPolicy::fb_dynamic(),
             QuotaPolicy::priority_weighted(),
-        ]);
+        ]),
+        Some(list) => list
+            .split(',')
+            .map(|t| {
+                QuotaPolicy::parse(t.trim())
+                    .ok_or_else(|| format!("{name}={list:?}: unknown policy `{}`", t.trim()))
+            })
+            .collect(),
     }
-    raw.split(',')
-        .map(|t| {
-            QuotaPolicy::parse(t.trim())
-                .ok_or_else(|| format!("FBUF_FANIN_POLICY: unknown policy `{}`", t.trim()))
-        })
-        .collect()
 }
 
 fn main() -> ExitCode {
+    fbuf_bench::exit_status("fbuf-fanin", try_main())
+}
+
+fn try_main() -> Result<(), String> {
     let seed = knobs::count("FBUF_FANIN_SEED", 0xfa21);
-    let policies = match policies() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fbuf-fanin FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let policies = knobs::read("FBUF_FANIN_POLICY", parse_policies);
 
     let mut base = FaninConfig::new(QuotaPolicy::Static, seed);
     base.flows = knobs::count("FBUF_FANIN_FLOWS", base.flows as u64) as usize;
@@ -82,11 +81,10 @@ fn main() -> ExitCode {
     base.machine.max_chunks_per_path =
         knobs::count("FBUF_FANIN_QUOTA", base.machine.max_chunks_per_path as u64) as usize;
     if base.paths < base.shards {
-        eprintln!(
-            "fbuf-fanin FAILED: {} paths cannot cover {} shards",
+        return Err(format!(
+            "{} paths cannot cover {} shards",
             base.paths, base.shards
-        );
-        return ExitCode::FAILURE;
+        ));
     }
 
     println!(
@@ -118,13 +116,7 @@ fn main() -> ExitCode {
     for &policy in &policies {
         let mut cfg = base.clone();
         cfg.policy = policy;
-        let r = match run_fanin(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fbuf-fanin FAILED under {}: {e}", policy.name());
-                return ExitCode::FAILURE;
-            }
-        };
+        let r = run_fanin(&cfg).map_err(|e| format!("under {}: {e}", policy.name()))?;
         println!(
             "{:>10} {:>9} {:>9} {:>8} {:>9} {:>10.1} {:>9.1} {:>9} {:>11} {:>11}",
             policy.name(),
@@ -148,19 +140,17 @@ fn main() -> ExitCode {
     let find = |name: &str| runs.iter().find(|(p, _)| p.name() == name).map(|(_, r)| r);
     if let (Some(st), Some(dy)) = (find("static"), find("fb-dynamic")) {
         if dy.drops >= st.drops {
-            eprintln!(
-                "fbuf-fanin FAILED: fb-dynamic dropped {} >= static {} — dynamic sizing must shed the skew",
+            return Err(format!(
+                "fb-dynamic dropped {} >= static {} — dynamic sizing must shed the skew",
                 dy.drops, st.drops
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         if dy.alloc_wait.p99() >= st.alloc_wait.p99() {
-            eprintln!(
-                "fbuf-fanin FAILED: fb-dynamic p99 wait {} ns >= static {} ns",
+            return Err(format!(
+                "fb-dynamic p99 wait {} ns >= static {} ns",
                 dy.alloc_wait.p99(),
                 st.alloc_wait.p99()
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         println!(
             "gate: fb-dynamic beats static — drops {} < {}, p99 wait {} ns < {} ns",
@@ -200,7 +190,7 @@ fn main() -> ExitCode {
         });
     }
     let total_completed: u64 = runs.iter().map(|(_, r)| r.completed).sum();
-    runner.host_throughput("transfers_completed", total_completed, host_ns, None);
+    runner.host_throughput("transfers_completed", total_completed, host_ns);
     if let Some((_, r)) = runs.last() {
         runner.telemetry(DEFAULT_CADENCE_NS, &r.telemetry);
     }
@@ -226,14 +216,34 @@ fn main() -> ExitCode {
         .collect();
     runner.artifact("policies", Json::Arr(sweep));
 
-    match runner.finish() {
-        Ok(path) => {
-            println!("report: {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fbuf-fanin FAILED: could not write report: {e}");
-            ExitCode::FAILURE
-        }
+    let path = runner
+        .finish()
+        .map_err(|e| format!("could not write report: {e}"))?;
+    println!("report: {}", path.display());
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn policy_knob_defaults_to_all_three_families() {
+        let all = parse_policies("K", None).unwrap();
+        assert_eq!(all, parse_policies("K", Some(" all ")).unwrap());
+        let names: Vec<&str> = all.iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["static", "fb-dynamic", "priority"]);
+    }
+
+    #[test]
+    fn policy_knob_takes_a_subset_and_names_the_variable_on_an_unknown_one() {
+        let two = parse_policies("K", Some("fb-dynamic, static")).unwrap();
+        let names: Vec<&str> = two.iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["fb-dynamic", "static"]);
+        let e = parse_policies("FBUF_FANIN_POLICY", Some("static,lru")).unwrap_err();
+        assert!(
+            e.contains("FBUF_FANIN_POLICY=") && e.contains("`lru`"),
+            "{e}"
+        );
     }
 }

@@ -29,24 +29,18 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use fbuf_bench::knobs;
 use fbuf_model::fuzz;
+use fbuf_sim::knobs;
 
-fn replay_dir(dir: &Path) -> ExitCode {
-    let mut entries: Vec<_> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "case"))
-            .collect(),
-        Err(e) => {
-            eprintln!("fbuf-fuzz: cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn replay_dir(dir: &Path) -> Result<(), String> {
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "case"))
+        .collect();
     entries.sort();
     if entries.is_empty() {
-        eprintln!("fbuf-fuzz: no .case files in {}", dir.display());
-        return ExitCode::FAILURE;
+        return Err(format!("no .case files in {}", dir.display()));
     }
     let mut bad = 0;
     for path in &entries {
@@ -85,21 +79,22 @@ fn replay_dir(dir: &Path) -> ExitCode {
         }
     }
     if bad > 0 {
-        eprintln!("fbuf-fuzz: {bad}/{} corpus case(s) failed", entries.len());
-        ExitCode::FAILURE
-    } else {
-        println!("fbuf-fuzz: all {} corpus case(s) clean", entries.len());
-        ExitCode::SUCCESS
+        return Err(format!("{bad}/{} corpus case(s) failed", entries.len()));
     }
+    println!("fbuf-fuzz: all {} corpus case(s) clean", entries.len());
+    Ok(())
 }
 
 fn main() -> ExitCode {
+    fbuf_bench::exit_status("fbuf-fuzz", try_main())
+}
+
+fn try_main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--replay") {
-        let Some(dir) = args.get(1) else {
-            eprintln!("usage: fbuf-fuzz --replay <corpus-dir>");
-            return ExitCode::FAILURE;
-        };
+        let dir = args
+            .get(1)
+            .ok_or("usage: fbuf-fuzz --replay <corpus-dir>")?;
         return replay_dir(Path::new(dir));
     }
 
@@ -121,7 +116,7 @@ fn main() -> ExitCode {
     }
     if report.failures.is_empty() {
         println!("fbuf-fuzz: zero divergences");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     for (case_seed, fail) in &report.failures {
@@ -147,10 +142,9 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("fbuf-fuzz: cannot write {}: {e}", file.display()),
         }
     }
-    eprintln!(
-        "fbuf-fuzz: {} divergence(s) in {} case(s)",
+    Err(format!(
+        "{} divergence(s) in {} case(s)",
         report.failures.len(),
         report.cases
-    );
-    ExitCode::FAILURE
+    ))
 }

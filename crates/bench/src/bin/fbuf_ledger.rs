@@ -19,8 +19,8 @@
 //! ledger's bytes / transfers / IPC-call columns must reproduce the
 //! fleet's whole-life counter totals exactly (the ledger is updated
 //! inline on the same operations that bump the counters). This binary
-//! exits non-zero if conservation fails, and `fbuf-stress --check`
-//! re-validates the written artifact.
+//! exits non-zero if conservation fails or a notice token arrives
+//! without a pending send.
 //!
 //! Environment knobs:
 //!
@@ -34,8 +34,8 @@ use std::process::ExitCode;
 
 use fbuf::shard::{fleet_ledger, run_fleet, FleetConfig};
 use fbuf::{Ledger, TenantRow};
-use fbuf_bench::knobs;
 use fbuf_sim::bench::report_dir;
+use fbuf_sim::knobs;
 use fbuf_sim::{Json, MachineConfig, StatsSnapshot, ToJson};
 
 /// One formatted table row; `tenant` is e.g. `dom 3` or `path 1`.
@@ -71,6 +71,10 @@ fn print_table(ledger: &Ledger) {
 }
 
 fn main() -> ExitCode {
+    fbuf_bench::exit_status("fbuf-ledger", try_main())
+}
+
+fn try_main() -> Result<(), String> {
     let shards = knobs::count("FBUF_LEDGER_SHARDS", 2) as usize;
     let cycles = knobs::count("FBUF_LEDGER_CYCLES", 4_000);
 
@@ -130,30 +134,22 @@ fn main() -> ExitCode {
 
     let dir = report_dir();
     let path = dir.join("LEDGER_fleet.json");
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.render()))
-    {
-        eprintln!(
-            "fbuf-ledger FAILED: could not write {}: {e}",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    }
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, doc.render()))
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
     println!("wrote {}", path.display());
 
     if !violations.is_empty() {
-        eprintln!("fbuf-ledger FAILED: conservation violated:");
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        return ExitCode::FAILURE;
+        return Err(format!("conservation violated: {}", violations.join("; ")));
     }
     if orphans > 0 {
-        eprintln!("fbuf-ledger FAILED: {orphans} notice token(s) arrived without a pending send");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "{orphans} notice token(s) arrived without a pending send"
+        ));
     }
     println!(
         "conservation: {} tenant bytes == fleet bytes_transferred; transfers and ipc_calls conserved",
         ledger.totals().bytes
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

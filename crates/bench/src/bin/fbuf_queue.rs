@@ -43,8 +43,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use fbuf::{run_offered_load, QueueConfig, QueueReport};
-use fbuf_bench::knobs;
 use fbuf_sim::bench::{BenchRunner, Unit};
+use fbuf_sim::knobs;
 use fbuf_sim::{Json, ToJson};
 
 /// One sweep point's invariants; the engine must conserve transfers and
@@ -72,6 +72,10 @@ fn check_point(burst: usize, r: &QueueReport) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    fbuf_bench::exit_status("fbuf-queue", try_main())
+}
+
+fn try_main() -> Result<(), String> {
     let transfers = knobs::count("FBUF_QUEUE_TRANSFERS", 512);
     let bursts =
         knobs::read("FBUF_QUEUE_BURSTS", knobs::parse_list).unwrap_or_else(|| vec![1, 4, 16, 64]);
@@ -98,17 +102,8 @@ fn main() -> ExitCode {
             pages,
             inbox_depth: depth,
         };
-        let r = match run_offered_load(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fbuf-queue FAILED at burst {burst}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = check_point(burst, &r) {
-            eprintln!("fbuf-queue FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
+        let r = run_offered_load(&cfg).map_err(|e| format!("at burst {burst}: {e}"))?;
+        check_point(burst, &r)?;
         let mbps = r.elapsed.mbps(r.bytes_delivered);
         println!(
             "{:>6} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10.1}",
@@ -141,17 +136,15 @@ fn main() -> ExitCode {
     // in flight, per-hop queueing delay must stay within the threshold.
     if let Some(slo) = slo {
         let Some((_, drained)) = points.iter().find(|(b, _)| *b == 1) else {
-            eprintln!(
-                "fbuf-queue FAILED: FBUF_QUEUE_SLO_P99_NS set, but the sweep has no burst-1 (drained) point"
+            return Err(
+                "FBUF_QUEUE_SLO_P99_NS set, but the sweep has no burst-1 (drained) point".into(),
             );
-            return ExitCode::FAILURE;
         };
         let p99 = drained.queue_delay.p99();
         if p99 > slo {
-            eprintln!(
-                "fbuf-queue FAILED: drained p99 queueing delay {p99} ns exceeds the SLO of {slo} ns"
-            );
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "drained p99 queueing delay {p99} ns exceeds the SLO of {slo} ns"
+            ));
         }
         println!("SLO: drained p99 queueing delay {p99} ns <= {slo} ns");
     }
@@ -162,11 +155,10 @@ fn main() -> ExitCode {
         let first = &points.first().expect("at least one point").1;
         let last = &points.last().expect("at least one point").1;
         if last.queue_delay.p99() <= first.queue_delay.p99() && last.queue_delay.max() == 0 {
-            eprintln!(
-                "fbuf-queue FAILED: offered load {}x never built queueing delay",
+            return Err(format!(
+                "offered load {}x never built queueing delay",
                 bursts.last().expect("non-empty")
-            );
-            return ExitCode::FAILURE;
+            ));
         }
     }
 
@@ -191,7 +183,7 @@ fn main() -> ExitCode {
             r.elapsed.mbps(r.bytes_delivered)
         });
     }
-    runner.host_throughput("transfers_completed", total_completed, host_ns, None);
+    runner.host_throughput("transfers_completed", total_completed, host_ns);
     // The highest-load point's telemetry (inbox depths, pending events,
     // overload drops over simulated time) is the interesting one.
     if let Some((_, r)) = points.last() {
@@ -229,14 +221,9 @@ fn main() -> ExitCode {
         .collect();
     runner.artifact("span_stages", Json::Arr(stages));
 
-    match runner.finish() {
-        Ok(path) => {
-            println!("report: {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fbuf-queue FAILED: could not write report: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let path = runner
+        .finish()
+        .map_err(|e| format!("could not write report: {e}"))?;
+    println!("report: {}", path.display());
+    Ok(())
 }

@@ -15,8 +15,19 @@
 //! (ops/sec, speedup, efficiency vs linear) under `host.scaling` in
 //! `BENCH_stress.json`. Telemetry rides along on every run; its own host
 //! cost is reported under `host.telemetry`: ns per fbuf op at the widest
-//! configuration with telemetry off and on, each the minimum of
-//! [`COST_RUNS`] runs, the two sides interleaved.
+//! configuration with telemetry off and on.
+//!
+//! Every host-time number comes from one measurement loop: each of
+//! [`COST_RUNS`] rounds runs every thread count with telemetry on, then
+//! the widest with telemetry off, and each configuration keeps its
+//! fastest run. Min-of-N, interleaved, so drift in the host's load hits
+//! every configuration alike.
+//!
+//! Before it writes the report, the run is gated: every point of the
+//! scaling curve must have an efficiency in (0, 1.05] (above linear is
+//! noise, not scaling), the efficiency floor must hold when one is set,
+//! and the fleet telemetry must carry the batched-plane shard gauges
+//! `ring_batch_occupancy` and `notice_coalesce_factor`.
 //!
 //! Environment knobs:
 //!
@@ -33,46 +44,21 @@
 //!   cycles (default 64; 0 disables cross-shard traffic);
 //! * `FBUF_STRESS_NOTICE_BATCH` — notice-coalescing window, tokens per
 //!   reverse-ring slot (default 8; 1 is the per-element plane);
-//! * `FBUF_STRESS_BASELINE_NS` — ns per fbuf operation of a reference
-//!   engine build; when set, the report carries the speedup against it;
-//! * `FBUF_STRESS_MIN_SPEEDUP` — `<threads>:<factor>` (e.g. `4:2.5`);
-//!   fail unless the run at `<threads>` reached `<factor>`× the first
-//!   (lowest) thread count's ops/sec. Only meaningful on a host with at
-//!   least `<threads>` cores, hence opt-in (`ci.sh` sets it adaptively
-//!   from the core count);
 //! * `FBUF_STRESS_EFF_FLOOR` — `<threads>:<efficiency>` (e.g. `2:0.6`);
 //!   fail unless parallel efficiency at `<threads>` is at least
-//!   `<efficiency>`, and record the floor under `host.scaling_floor` so
-//!   `--check` re-enforces it against the report forever after. Opt-in
-//!   for the same reason as the speedup gate;
+//!   `<efficiency>`. Only meaningful on a host with at least `<threads>`
+//!   cores, hence opt-in (`ci.sh` sets it adaptively from the core
+//!   count);
 //! * `FBUF_BENCH_DIR`      — report directory (default
 //!   `target/bench-reports`).
-//!
-//! Check mode: `fbuf-stress --check <dir>` validates every `BENCH_*.json`
-//! in `<dir>` with the in-repo parser and fails unless each carries a
-//! `host` block, a `repro` header (seed, thread count, workload params
-//! including the chunk-admission `policy` in force — a string, or a
-//! non-empty array of strings for multi-policy sweeps like fbuf-fanin),
-//! **and** a `telemetry` block (positive cadence, well-formed time-ordered
-//! series; the stress report must additionally carry the batched-plane
-//! gauges `ring_batch_occupancy` and `notice_coalesce_factor`); any
-//! `host.scaling` block must be
-//! well-formed (strictly increasing thread counts, positive ops/sec,
-//! efficiency in (0, 1.05]) and still satisfy any recorded
-//! `host.scaling_floor`, and the stress report itself must carry a
-//! non-empty curve and a well-formed `host.telemetry` cost block (no
-//! bound is placed on the cost). `LEDGER_*.json`
-//! artifacts (written by `fbuf-ledger`) are validated too: tables present
-//! and the embedded conservation check clean.
 
 use std::process::ExitCode;
 
 use fbuf::shard::{
     fleet_ledger, fleet_snapshot, fleet_telemetry, run_fleet, FleetConfig, ShardReport,
 };
-use fbuf_bench::knobs;
-use fbuf_sim::bench::{BenchRunner, ScalingPoint, Unit};
-use fbuf_sim::{metrics, Json, MachineConfig, Ns, ToJson};
+use fbuf_sim::bench::{gate_scaling, BenchRunner, ScalingPoint, Unit, MAX_EFFICIENCY};
+use fbuf_sim::{knobs, metrics, Json, MachineConfig, Ns, SeriesSnapshot, ToJson};
 
 /// The shard counts to sweep by default: 1,2,4,8 capped to the host's
 /// cores (always at least `[1]`).
@@ -83,13 +69,9 @@ fn default_thread_counts() -> Vec<usize> {
     [1, 2, 4, 8].into_iter().filter(|&n| n <= cores).collect()
 }
 
-/// Runs per side behind the `host.telemetry` cost block.
+/// Runs behind every host-time number: each configuration is the
+/// fastest of this many.
 const COST_RUNS: usize = 3;
-
-/// Fleet wall-clock throughput of one run.
-fn ops_per_sec(r: &FleetRun) -> f64 {
-    r.ops as f64 * 1e9 / r.host_ns as f64
-}
 
 /// One thread count's worth of fleet results.
 struct FleetRun {
@@ -101,6 +83,12 @@ struct FleetRun {
     host_ns: u64,
     /// Simulated time of the slowest shard.
     sim_elapsed: Ns,
+}
+
+impl FleetRun {
+    fn ns_per_op(&self) -> f64 {
+        self.host_ns as f64 / self.ops.max(1) as f64
+    }
 }
 
 /// Runs the `base` fleet at one thread count, with telemetry on or off,
@@ -129,7 +117,7 @@ fn run_at(base: &FleetConfig, threads: usize, metrics: bool) -> Result<FleetRun,
     let received: u64 = reports.iter().map(|r| r.received).sum();
     if sent != received {
         return Err(format!(
-            "cross-shard payloads not conserved: {sent} sent, {received} received"
+            "cross-shard payloads not conserved at {threads} thread(s): {sent} sent, {received} received"
         ));
     }
     Ok(FleetRun {
@@ -145,289 +133,54 @@ fn run_at(base: &FleetConfig, threads: usize, metrics: bool) -> Result<FleetRun,
     })
 }
 
-/// Validates one well-formed `host.scaling` array. `required` makes an
-/// empty (or absent) block an error — the stress report must carry one.
-fn check_scaling(name: &str, doc: &Json, required: bool) -> Result<(), String> {
-    let scaling = doc
-        .get("host")
-        .and_then(|h| h.get("scaling"))
-        .and_then(|s| s.as_arr().map(<[Json]>::to_vec))
-        .unwrap_or_default();
-    if scaling.is_empty() {
-        if required {
-            return Err(format!("{name}: stress report lacks a host.scaling curve"));
-        }
-        return Ok(());
-    }
-    let mut prev_threads = 0.0;
-    for (i, point) in scaling.iter().enumerate() {
-        let threads = point
-            .get("threads")
-            .and_then(|v| v.as_f64())
-            .ok_or(format!("{name}: scaling[{i}] lacks a numeric `threads`"))?;
-        if threads <= prev_threads {
-            return Err(format!(
-                "{name}: scaling thread counts not strictly increasing at index {i}"
-            ));
-        }
-        prev_threads = threads;
-        let ops_per_sec = point
-            .get("ops_per_sec")
-            .and_then(|v| v.as_f64())
-            .ok_or(format!("{name}: scaling[{i}] lacks `ops_per_sec`"))?;
-        if ops_per_sec <= 0.0 {
-            return Err(format!("{name}: scaling[{i}] ops_per_sec = {ops_per_sec} (want > 0)"));
-        }
-        let efficiency = point
-            .get("efficiency")
-            .and_then(|v| v.as_f64())
-            .ok_or(format!("{name}: scaling[{i}] lacks `efficiency`"))?;
-        if efficiency <= 0.0 || efficiency > 1.05 {
-            return Err(format!(
-                "{name}: scaling[{i}] efficiency = {efficiency} (want in (0, 1.05])"
-            ));
-        }
-    }
-    // A recorded floor is a ratchet: the report promised this parallel
-    // efficiency when it was written, so it must still hold every time
-    // the artifact is validated.
-    if let Some(floor) = doc.get("host").and_then(|h| h.get("scaling_floor")) {
-        let ft = floor
-            .get("threads")
-            .and_then(|v| v.as_f64())
-            .ok_or(format!("{name}: `scaling_floor.threads` is not a number"))?;
-        let fe = floor
-            .get("efficiency")
-            .and_then(|v| v.as_f64())
-            .ok_or(format!("{name}: `scaling_floor.efficiency` is not a number"))?;
-        let eff = scaling
-            .iter()
-            .find(|p| p.get("threads").and_then(|v| v.as_f64()) == Some(ft))
-            .and_then(|p| p.get("efficiency"))
-            .and_then(|v| v.as_f64())
-            .ok_or(format!(
-                "{name}: scaling_floor names {ft} thread(s), absent from the scaling curve"
-            ))?;
-        if eff < fe {
-            return Err(format!(
-                "{name}: efficiency {eff:.3} at {ft} thread(s) is below the recorded floor {fe:.3}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validates the stress report's `host.telemetry` cost block: a thread
-/// and path count, the runs per side, and positive ns per op with
-/// telemetry off and on whose ratio `on_over_off` matches.
-fn check_telemetry_cost(name: &str, doc: &Json) -> Result<(), String> {
-    let cost = doc
-        .get("host")
-        .and_then(|h| h.get("telemetry"))
-        .ok_or(format!("{name}: stress report lacks a host.telemetry cost block"))?;
-    let field = |key: &str| {
-        cost.get(key)
-            .and_then(Json::as_f64)
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or(format!("{name}: host.telemetry.{key} is not a positive number"))
-    };
-    for key in ["threads", "paths", "runs"] {
-        field(key)?;
-    }
-    let (off, on) = (field("off_ns_per_op")?, field("on_ns_per_op")?);
-    let ratio = field("on_over_off")?;
-    if (ratio - on / off).abs() > 1e-6 * ratio {
-        return Err(format!(
-            "{name}: host.telemetry.on_over_off = {ratio} but on/off = {}",
-            on / off
-        ));
-    }
-    Ok(())
-}
-
-/// Validates the `telemetry` block every report must carry: a positive
-/// sampling cadence and a (possibly empty) series array whose entries
-/// each name a gauge and hold `[t, v]` points with non-decreasing
-/// timestamps. `shard_gauges` additionally requires the batched-plane
-/// gauges — only the stress report runs a shard fleet, so only it can
-/// carry them.
-fn check_telemetry(name: &str, doc: &Json, shard_gauges: bool) -> Result<(), String> {
-    let tel = doc
-        .get("telemetry")
-        .ok_or(format!("{name}: missing `telemetry` block"))?;
-    let cadence = tel
-        .get("cadence_ns")
-        .and_then(|v| v.as_f64())
-        .ok_or(format!("{name}: `telemetry.cadence_ns` is not a number"))?;
-    if cadence <= 0.0 {
-        return Err(format!("{name}: telemetry cadence {cadence} (want > 0)"));
-    }
-    let series = tel
-        .get("series")
-        .and_then(|s| s.as_arr().map(<[Json]>::to_vec))
-        .ok_or(format!("{name}: `telemetry.series` is not an array"))?;
-    let mut names = Vec::new();
-    for s in &series {
-        let sname = s
-            .get("name")
-            .and_then(|v| v.as_str().map(str::to_owned))
-            .ok_or(format!("{name}: a telemetry series lacks a name"))?;
-        names.push(sname.clone());
-        let points = s
-            .get("points")
-            .and_then(|p| p.as_arr().map(<[Json]>::to_vec))
-            .ok_or(format!("{name}: series {sname} lacks points"))?;
-        let mut prev = f64::NEG_INFINITY;
-        for (i, p) in points.iter().enumerate() {
-            let t = p
-                .as_arr()
-                .and_then(|pair| pair.first())
-                .and_then(|v| v.as_f64())
-                .ok_or(format!("{name}: series {sname} point {i} lacks a timestamp"))?;
-            if t < prev {
-                return Err(format!(
-                    "{name}: series {sname} timestamps go backwards at point {i}"
-                ));
-            }
-            prev = t;
-        }
-    }
-    // The batched data plane must prove it was observed: the stress
-    // report samples the burst-drain and coalescing gauges (per shard,
-    // namespace-prefixed `s<N>.<gauge>`).
-    if shard_gauges {
-        for gauge in [
-            metrics::GAUGE_RING_BATCH_OCCUPANCY,
-            metrics::GAUGE_NOTICE_COALESCE_FACTOR,
-        ] {
-            if !names.iter().any(|n| n.ends_with(gauge)) {
-                return Err(format!("{name}: telemetry lacks a `{gauge}` series"));
+/// The one measurement loop. Each of [`COST_RUNS`] rounds runs every
+/// thread count with telemetry on, then the widest with telemetry off;
+/// each configuration keeps its fastest run. Returns the scaling curve's
+/// runs (ascending thread counts) and the telemetry-off run.
+fn measure(base: &FleetConfig, threads: &[usize]) -> Result<(Vec<FleetRun>, FleetRun), String> {
+    let widest = *threads.last().expect("at least one thread count");
+    let configs: Vec<(usize, bool)> = threads
+        .iter()
+        .map(|&n| (n, true))
+        .chain([(widest, false)])
+        .collect();
+    let mut best: Vec<Option<FleetRun>> = configs.iter().map(|_| None).collect();
+    for _ in 0..COST_RUNS {
+        for (slot, &(n, metrics)) in best.iter_mut().zip(&configs) {
+            let run = run_at(base, n, metrics)?;
+            if slot
+                .as_ref()
+                .is_none_or(|b| run.ns_per_op() < b.ns_per_op())
+            {
+                *slot = Some(run);
             }
         }
     }
-    Ok(())
+    let mut runs: Vec<FleetRun> = best.into_iter().map(|r| r.expect("measured")).collect();
+    let off = runs.pop().expect("the telemetry-off run");
+    Ok((runs, off))
 }
 
-/// Validates one `LEDGER_*.json` artifact: it must parse, carry the
-/// domain/path tables with totals, and declare conservation against the
-/// counters it embeds (an empty `conservation.violations` array).
-fn check_ledger(name: &str, doc: &Json) -> Result<(), String> {
-    let ledger = doc.get("ledger").ok_or(format!("{name}: missing `ledger`"))?;
-    for key in ["domains", "paths", "totals"] {
-        if ledger.get(key).is_none() {
-            return Err(format!("{name}: `ledger.{key}` missing"));
+/// The batched data plane must prove it was observed: the fleet
+/// telemetry carries the burst-drain and coalescing gauges (per shard,
+/// namespace-prefixed `s<N>.<gauge>`).
+fn check_shard_gauges(series: &[SeriesSnapshot]) -> Result<(), String> {
+    for gauge in [
+        metrics::GAUGE_RING_BATCH_OCCUPANCY,
+        metrics::GAUGE_NOTICE_COALESCE_FACTOR,
+    ] {
+        if !series.iter().any(|s| s.name.ends_with(gauge)) {
+            return Err(format!("fleet telemetry lacks a `{gauge}` series"));
         }
-    }
-    doc.get("counters")
-        .ok_or(format!("{name}: missing `counters` snapshot"))?;
-    let violations = doc
-        .get("conservation")
-        .and_then(|c| c.get("violations"))
-        .and_then(|v| v.as_arr().map(<[Json]>::len))
-        .ok_or(format!("{name}: missing `conservation.violations`"))?;
-    if violations > 0 {
-        return Err(format!(
-            "{name}: ledger does not conserve its counters ({violations} violation(s))"
-        ));
     }
     Ok(())
-}
-
-/// Validates the `repro` header every report must carry: a numeric seed,
-/// a thread count of at least 1, and a params object that names the
-/// chunk-admission policy the run executed under (a string, or a
-/// non-empty array of strings for multi-policy sweeps).
-fn check_repro(name: &str, doc: &Json) -> Result<(), String> {
-    let repro = doc.get("repro").ok_or(format!("{name}: missing `repro` header"))?;
-    repro
-        .get("seed")
-        .and_then(|v| v.as_f64())
-        .ok_or(format!("{name}: `repro.seed` is not a number"))?;
-    let threads = repro
-        .get("threads")
-        .and_then(|v| v.as_f64())
-        .ok_or(format!("{name}: `repro.threads` is not a number"))?;
-    if threads < 1.0 {
-        return Err(format!("{name}: `repro.threads` = {threads} (want >= 1)"));
-    }
-    let params = match repro.get("params") {
-        Some(p @ Json::Obj(_)) => p,
-        _ => return Err(format!("{name}: `repro.params` is not an object")),
-    };
-    let policy_ok = match params.get("policy") {
-        Some(Json::Str(_)) => true,
-        Some(Json::Arr(a)) => !a.is_empty() && a.iter().all(|v| v.as_str().is_some()),
-        _ => false,
-    };
-    if !policy_ok {
-        return Err(format!(
-            "{name}: `repro.params.policy` must name the admission policy (string or non-empty string array)"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates every `BENCH_*.json` in `dir`: parses with the in-repo
-/// parser, requires the `host` block and `repro` header, and checks any
-/// scaling curve. Returns the number of reports checked.
-fn check_reports(dir: &str) -> Result<usize, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("read_dir {dir}: {e}"))?;
-    let mut checked = 0;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("read_dir entry: {e}"))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let is_bench = name.starts_with("BENCH_") && name.ends_with(".json");
-        let is_ledger = name.starts_with("LEDGER_") && name.ends_with(".json");
-        if !is_bench && !is_ledger {
-            continue;
-        }
-        let path = entry.path();
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        let doc = Json::parse(&text)
-            .map_err(|e| format!("{name}: JSON parse failed: {e:?}"))?;
-        if name.starts_with("LEDGER_") {
-            check_ledger(&name, &doc)?;
-            checked += 1;
-            continue;
-        }
-        let host = doc.get("host").ok_or(format!("{name}: missing `host` block"))?;
-        host.get("timebase")
-            .and_then(|t| t.as_str())
-            .filter(|&t| t == "wall_clock_ns")
-            .ok_or(format!("{name}: `host.timebase` is not wall_clock_ns"))?;
-        check_repro(&name, &doc)?;
-        check_telemetry(&name, &doc, name == "BENCH_stress.json")?;
-        check_scaling(&name, &doc, name == "BENCH_stress.json")?;
-        if name == "BENCH_stress.json" {
-            check_telemetry_cost(&name, &doc)?;
-        }
-        checked += 1;
-    }
-    if checked == 0 {
-        return Err(format!("no BENCH_*.json reports found in {dir}"));
-    }
-    Ok(checked)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--check") {
-        let dir = args.get(2).map(String::as_str).unwrap_or("target/bench-reports");
-        return match check_reports(dir) {
-            Ok(n) => {
-                println!(
-                    "fbuf-stress --check: {n} report(s) in {dir} parse, carry host + repro + telemetry blocks, scaling curves well-formed, ledgers conserved"
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("fbuf-stress --check FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
+    fbuf_bench::exit_status("fbuf-stress", try_main())
+}
 
+fn try_main() -> Result<(), String> {
     let cycles = knobs::count("FBUF_STRESS_OPS", 200_000);
     let threads =
         knobs::read("FBUF_STRESS_THREADS", knobs::parse_list).unwrap_or_else(default_thread_counts);
@@ -439,8 +192,6 @@ fn main() -> ExitCode {
     // per-element plane).
     let notice_batch =
         knobs::read("FBUF_STRESS_NOTICE_BATCH", knobs::parse_u64).unwrap_or(8) as usize;
-    let baseline = knobs::read("FBUF_STRESS_BASELINE_NS", knobs::parse_f64).filter(|&ns| ns > 0.0);
-    let min_speedup = knobs::read("FBUF_STRESS_MIN_SPEEDUP", knobs::parse_gate);
     let eff_floor = knobs::read("FBUF_STRESS_EFF_FLOOR", knobs::parse_gate);
 
     let mut cfg = MachineConfig::decstation_5000_200();
@@ -460,104 +211,41 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "== fbuf-stress: {} cycles across {} path(s), {} page(s)/buffer, threads {:?}, cross-shard every {} ==",
-        cycles, npaths, pages, threads, cross_every
+        "== fbuf-stress: {} cycles across {} path(s), {} page(s)/buffer, threads {:?}, cross-shard every {}, min of {} interleaved runs ==",
+        cycles, npaths, pages, threads, cross_every, COST_RUNS
     );
 
-    let mut runs = Vec::with_capacity(threads.len());
-    for &n in &threads {
-        match run_at(&base, n, true) {
-            Ok(run) => {
-                println!(
-                    "{:>2} thread(s): {:>10} fbuf ops in {:>8.1} ms host ({:.3} us/cycle simulated, {} cross-shard payloads)",
-                    n,
-                    run.ops,
-                    run.host_ns as f64 / 1e6,
-                    run.sim_elapsed.as_us_f64() / (cycles.max(1) as f64 / n as f64),
-                    run.reports.iter().map(|r| r.sent).sum::<u64>(),
-                );
-                runs.push(run);
-            }
-            Err(e) => {
-                eprintln!("fbuf-stress FAILED at {n} thread(s): {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let (runs, off) = measure(&base, &threads)?;
+    for run in &runs {
+        println!(
+            "{:>2} thread(s): {:>10} fbuf ops in {:>8.1} ms host ({:.3} us/cycle simulated, {} cross-shard payloads)",
+            run.threads,
+            run.ops,
+            run.host_ns as f64 / 1e6,
+            run.sim_elapsed.as_us_f64() / (cycles.max(1) as f64 / run.threads as f64),
+            run.reports.iter().map(|r| r.sent).sum::<u64>(),
+        );
     }
-
-    if let Some((gate_threads, factor)) = min_speedup {
-        let base = &runs[0];
-        match runs.iter().find(|r| r.threads == gate_threads) {
-            Some(run) => {
-                let speedup = ops_per_sec(run) / ops_per_sec(base);
-                if speedup < factor {
-                    eprintln!(
-                        "fbuf-stress FAILED: {gate_threads}-thread speedup {speedup:.2}x < required {factor:.2}x (vs {} thread(s))",
-                        base.threads
-                    );
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "speedup gate: {gate_threads} thread(s) at {speedup:.2}x >= {factor:.2}x vs {} thread(s)",
-                    base.threads
-                );
-            }
-            None => {
-                eprintln!(
-                    "fbuf-stress FAILED: FBUF_STRESS_MIN_SPEEDUP names {gate_threads} thread(s), but the sweep ran {threads:?}"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some((gate_threads, floor)) = eff_floor {
-        let base = &runs[0];
-        match runs.iter().find(|r| r.threads == gate_threads) {
-            Some(run) => {
-                let speedup = ops_per_sec(run) / ops_per_sec(base);
-                let efficiency =
-                    speedup / (run.threads as f64 / base.threads.max(1) as f64);
-                if efficiency < floor {
-                    eprintln!(
-                        "fbuf-stress FAILED: {gate_threads}-thread efficiency {efficiency:.2} < floor {floor:.2}"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "efficiency gate: {gate_threads} thread(s) at {:.0}% of linear >= floor {:.0}%",
-                    efficiency * 100.0,
-                    floor * 100.0
-                );
-            }
-            None => {
-                eprintln!(
-                    "fbuf-stress FAILED: FBUF_STRESS_EFF_FLOOR names {gate_threads} thread(s), but the sweep ran {threads:?}"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Telemetry's own host cost at the widest configuration: ns per op
-    // off and on, min of COST_RUNS each, interleaved so drift in the
-    // host's load hits both sides alike.
-    let mut cost = [f64::INFINITY; 2];
-    for _ in 0..COST_RUNS {
-        for (side, metrics) in [false, true].into_iter().enumerate() {
-            match run_at(&base, max_threads, metrics) {
-                Ok(run) => cost[side] = cost[side].min(run.host_ns as f64 / run.ops.max(1) as f64),
-                Err(e) => {
-                    eprintln!("fbuf-stress FAILED in the telemetry cost runs: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    let [off_ns, on_ns] = cost;
+    // Telemetry's own host cost at the widest configuration.
+    let widest = runs.last().expect("at least one run");
+    let (off_ns, on_ns) = (off.ns_per_op(), widest.ns_per_op());
     println!(
-        "telemetry cost at {max_threads} thread(s): {off_ns:.1} ns/op off, {on_ns:.1} ns/op on ({:.2}x, min of {COST_RUNS} interleaved)",
+        "telemetry cost at {max_threads} thread(s): {off_ns:.1} ns/op off, {on_ns:.1} ns/op on ({:.2}x)",
         on_ns / off_ns
+    );
+
+    let curve: Vec<ScalingPoint> = runs
+        .iter()
+        .map(|r| ScalingPoint { threads: r.threads, ops: r.ops, elapsed_ns: r.host_ns })
+        .collect();
+    gate_scaling(&curve, eff_floor)?;
+    let telemetry = fleet_telemetry(&widest.reports);
+    check_shard_gauges(&telemetry)?;
+    println!(
+        "gate: efficiency within (0, {MAX_EFFICIENCY}] at every thread count{}",
+        eff_floor.map_or(String::new(), |(t, floor)| format!(
+            ", >= {floor:.2} at {t} thread(s)"
+        ))
     );
 
     let first = &runs[0];
@@ -577,23 +265,15 @@ fn main() -> ExitCode {
         Json::Arr(threads.iter().map(|&n| (n as u64).to_json()).collect()),
     );
     runner.measure("cached_cycle", Unit::SimUs, || sim_us_per_cycle);
-    runner.host_throughput("cached_fbuf_ops", first.ops, first.host_ns, baseline);
+    runner.host_throughput("cached_fbuf_ops", first.ops, first.host_ns);
     for run in &runs[1..] {
         runner.host_throughput(
             &format!("cached_fbuf_ops_t{}", run.threads),
             run.ops,
             run.host_ns,
-            None,
         );
     }
-    let curve: Vec<ScalingPoint> = runs
-        .iter()
-        .map(|r| ScalingPoint { threads: r.threads, ops: r.ops, elapsed_ns: r.host_ns })
-        .collect();
     runner.host_scaling(&curve);
-    if let Some((gate_threads, floor)) = eff_floor {
-        runner.host_scaling_floor(gate_threads, floor);
-    }
     runner.host_entry(
         "telemetry",
         Json::obj(vec![
@@ -606,9 +286,8 @@ fn main() -> ExitCode {
         ]),
     );
     // One coherent fleet snapshot: the counter merge of the largest run.
-    let widest = runs.last().expect("at least one run");
     runner.counters(&fleet_snapshot(&widest.reports));
-    runner.telemetry(metrics::DEFAULT_CADENCE_NS, &fleet_telemetry(&widest.reports));
+    runner.telemetry(metrics::DEFAULT_CADENCE_NS, &telemetry);
     runner.artifact("ledger", fleet_ledger(&widest.reports).to_json());
     let per_run: Vec<Json> = runs
         .iter()
@@ -642,24 +321,39 @@ fn main() -> ExitCode {
         .collect();
     runner.artifact("fleet", Json::Arr(per_run));
 
-    let path = match runner.finish() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fbuf-stress FAILED: could not write report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    runner
+        .finish()
+        .map_err(|e| format!("could not write report: {e}"))?;
+    Ok(())
+}
 
-    // The report must satisfy the same contract `--check` enforces.
-    let text = std::fs::read_to_string(&path).expect("just-written report");
-    let doc = Json::parse(&text).expect("report parses");
-    assert!(doc.get("host").is_some(), "stress report carries a host block");
-    if let Err(e) = check_repro("BENCH_stress.json", &doc)
-        .and_then(|()| check_scaling("BENCH_stress.json", &doc, true))
-        .and_then(|()| check_telemetry_cost("BENCH_stress.json", &doc))
-    {
-        eprintln!("fbuf-stress FAILED: own report rejected: {e}");
-        return ExitCode::FAILURE;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fbuf_sim::MetricPoint;
+
+    fn series(name: &str) -> SeriesSnapshot {
+        SeriesSnapshot {
+            name: name.to_string(),
+            dropped: 0,
+            points: vec![MetricPoint {
+                at: Ns(1),
+                value: 1,
+            }],
+        }
     }
-    ExitCode::SUCCESS
+
+    #[test]
+    fn shard_gauge_gate_needs_both_batched_plane_gauges() {
+        let both = [
+            series("s0.ring_batch_occupancy"),
+            series("s1.notice_coalesce_factor"),
+        ];
+        assert_eq!(check_shard_gauges(&both), Ok(()));
+        let e = check_shard_gauges(&both[..1]).unwrap_err();
+        assert!(e.contains("notice_coalesce_factor"), "{e}");
+        assert!(check_shard_gauges(&[])
+            .unwrap_err()
+            .contains("ring_batch_occupancy"));
+    }
 }

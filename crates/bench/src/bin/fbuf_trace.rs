@@ -15,12 +15,16 @@
 
 use std::process::ExitCode;
 
-use fbuf_bench::knobs;
 use fbuf_net::{LoopbackConfig, LoopbackStack};
 use fbuf_sim::bench::report_dir;
+use fbuf_sim::knobs;
 use fbuf_sim::{audit_tracer, EventKind, Json, MachineConfig};
 
 fn main() -> ExitCode {
+    fbuf_bench::exit_status("fbuf-trace", try_main())
+}
+
+fn try_main() -> Result<(), String> {
     let msgs = knobs::count("FBUF_TRACE_MSGS", 16);
     let size = knobs::count("FBUF_TRACE_SIZE", 16 << 10);
 
@@ -93,11 +97,8 @@ fn main() -> ExitCode {
     // Replay-audit the whole ring against the lifecycle invariants.
     let report = audit_tracer(&tracer);
     if !report.is_clean() {
-        eprintln!("fbuf-trace: AUDIT FAILED");
-        for v in &report.violations {
-            eprintln!("  {v}");
-        }
-        return ExitCode::FAILURE;
+        let violations: Vec<String> = report.violations.iter().map(ToString::to_string).collect();
+        return Err(format!("audit: {}", violations.join("; ")));
     }
     // Non-fatal caveats: an overflowed ring truncates histograms and
     // makes the lifecycle replay incomplete — say so loudly.
@@ -112,23 +113,13 @@ fn main() -> ExitCode {
     // Export, then prove the artifact parses with the in-repo parser and
     // carries the event kinds the acceptance gate names.
     let dir = report_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("fbuf-trace: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join("TRACE_loopback.json");
     let rendered = tracer.chrome_trace().render();
-    if let Err(e) = std::fs::write(&path, &rendered) {
-        eprintln!("fbuf-trace: cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    let parsed = match Json::parse(&rendered) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("fbuf-trace: written trace does not parse: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
+    std::fs::write(&path, &rendered)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let parsed =
+        Json::parse(&rendered).map_err(|e| format!("written trace does not parse: {e:?}"))?;
     let names: Vec<&str> = parsed
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -140,14 +131,12 @@ fn main() -> ExitCode {
         .unwrap_or_default();
     for required in ["Alloc", "Transfer", "CacheHit", "Free"] {
         if !names.contains(&required) {
-            eprintln!("fbuf-trace: trace is missing required event kind {required}");
-            return ExitCode::FAILURE;
+            return Err(format!("trace is missing required event kind {required}"));
         }
     }
     if parsed.get("dropped_events").and_then(Json::as_f64).is_none() {
-        eprintln!("fbuf-trace: trace is missing the dropped_events counter");
-        return ExitCode::FAILURE;
+        return Err("trace is missing the dropped_events counter".into());
     }
     println!("wrote {} ({} events)", path.display(), names.len());
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -1,8 +1,10 @@
 //! Experiment runners regenerating every table and figure of the paper.
 //!
 //! Each module produces structured rows; the `repro` binary prints them in
-//! the paper's format, the Criterion benches in `benches/` execute them
-//! under measurement, and `EXPERIMENTS.md` records paper-vs-measured.
+//! the paper's format, the bench targets in `benches/` (`harness = false`
+//! programs built on `fbuf_sim::bench::BenchRunner`, reporting simulated
+//! time) execute them under measurement, and `EXPERIMENTS.md` records
+//! paper-vs-measured.
 //!
 //! | module | artifact |
 //! |---|---|
@@ -13,16 +15,29 @@
 //! | [`cpuload`] | §4 prose: receive-side CPU load at 16/32 KB PDUs |
 //! | [`remap`] | §2.2.1: DASH-style remap, ping-pong vs streaming |
 //! | [`ablations`] | design-choice ablations (optimization stack, LIFO, VCI cache, notices, bus contention) |
+//! | [`fanin`] | Zipf-skewed fan-in across chunk-admission policies |
 //!
-//! Standalone binaries live in `src/bin/`: `repro` (paper-style text
-//! tables), `fbuf-trace` (traced loopback + audit + Chrome export),
-//! `fbuf-stress` (wall-clock multi-shard stress), `fbuf-queue`
-//! (offered-load sweep through the event-loop engine, queueing-delay
-//! percentiles per burst size), and `fbuf-fuzz` (lockstep campaigns).
-//! They read their `FBUF_*` environment knobs through [`knobs`].
+//! The eight standalone binaries live in `src/bin/`:
+//!
+//! | binary | what it runs |
+//! |---|---|
+//! | `repro` | paper-style text tables |
+//! | `fbuf-trace` | traced loopback, lifecycle audit, Chrome trace export |
+//! | `fbuf-stress` | wall-clock multi-shard stress and its scaling gate |
+//! | `fbuf-queue` | offered-load sweep through the event-loop engine, queueing-delay percentiles per burst size |
+//! | `fbuf-ledger` | per-tenant ledger of a fleet run and its conservation check |
+//! | `fbuf-fanin` | fan-in across admission policies at equal memory |
+//! | `fbuf-adversary` | hostile tenants vs benign goodput under containment |
+//! | `fbuf-fuzz` | lockstep campaigns against the reference model |
+//!
+//! They read their `FBUF_*` environment knobs through
+//! [`fbuf_sim::knobs`], gate their results before they write a report,
+//! and fail through [`exit_status`].
 //!
 //! Design notes: `DESIGN.md` §5 (the per-table/per-figure experiment
 //! index) and `EXPERIMENTS.md` (paper-vs-measured, command matrix).
+
+use std::process::ExitCode;
 
 pub mod ablations;
 pub mod cpuload;
@@ -30,12 +45,23 @@ pub mod fanin;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
-pub mod knobs;
 pub mod observe;
 pub mod remap;
 pub mod report;
 pub mod table1;
 pub mod workload;
+
+/// The one failure path of a bench binary: `Ok` exits 0, and `Err`
+/// prints `<bin> FAILED: <reason>` to stderr and exits 1.
+pub fn exit_status(bin: &str, outcome: Result<(), String>) -> ExitCode {
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(reason) => {
+            eprintln!("{bin} FAILED: {reason}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
 /// The message sizes (bytes) used by the figure sweeps, paper-style
 /// powers of two.

@@ -10,8 +10,8 @@
 //! counters, so the two views stay **conserved**: summing a ledger
 //! column over every tenant reproduces the matching
 //! [`fbuf_sim::StatsSnapshot`] total exactly
-//! ([`Ledger::conserves`], asserted by `tests/observability.rs` and the
-//! `fbuf-stress --check` validator).
+//! ([`Ledger::conserves`], asserted by `tests/observability.rs` and
+//! gated by the `fbuf-ledger` binary).
 //!
 //! The ledger is always on: each update is a plain integer add into a
 //! pre-sized vector — it never charges the [`Clock`](fbuf_sim::Clock),

@@ -13,11 +13,18 @@
 //! [`BenchRunner::measure`], attaches the regenerated paper artifact (rows,
 //! curves) with [`BenchRunner::artifact`], and calls
 //! [`BenchRunner::finish`], which prints a summary table (median, p10, p90
-//! over the iterations) and writes `BENCH_<name>.json`.
+//! over the iterations) and writes `BENCH_<name>.json`. A report must
+//! name the chunk-admission policy its run executed under
+//! (`param("policy", …)`); `finish` refuses to write one that does not.
 //!
-//! Environment knobs:
+//! Host-time scaling curves ([`ScalingPoint`]) are derived by one
+//! function, [`scaling`], and gated by one, [`gate_scaling`].
+//!
+//! Environment knobs (read through [`knobs`]):
 //!
 //! * `FBUF_BENCH_ITERS` — iterations per scenario (default 5);
+//! * `FBUF_BENCH_SEED` — the seed recorded in the `repro` header
+//!   (default: the workspace property-test seed);
 //! * `FBUF_BENCH_DIR` — report directory (default `target/bench-reports`).
 //!
 //! # Examples
@@ -39,6 +46,7 @@ use std::path::PathBuf;
 
 use crate::hist::Histogram;
 use crate::json::{Json, ToJson};
+use crate::knobs;
 use crate::metrics::{self, SeriesSnapshot};
 use crate::stats::StatsSnapshot;
 
@@ -102,9 +110,26 @@ struct HostThroughput {
     label: String,
     ops: u64,
     elapsed_ns: u64,
-    /// Reference ns/op of a prior engine build, when the caller has one
-    /// (lets a report carry its own before/after comparison).
-    baseline_ns_per_op: Option<f64>,
+}
+
+impl HostThroughput {
+    fn ns_per_op(&self) -> f64 {
+        if self.ops > 0 {
+            self.elapsed_ns as f64 / self.ops as f64
+        } else {
+            0.0
+        }
+    }
+}
+
+/// `ops` per second over `elapsed_ns` of wall-clock (0 when no time
+/// elapsed).
+fn per_sec(ops: u64, elapsed_ns: u64) -> f64 {
+    if elapsed_ns > 0 {
+        ops as f64 * 1e9 / elapsed_ns as f64
+    } else {
+        0.0
+    }
 }
 
 /// One point of the wall-clock thread-scaling curve under `host.scaling`:
@@ -119,6 +144,81 @@ pub struct ScalingPoint {
     /// Fleet wall-clock for the measured window (max across shards; the
     /// shards start barrier-aligned).
     pub elapsed_ns: u64,
+}
+
+/// A [`ScalingPoint`] with the rates derived from it against the
+/// curve's first point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scaled {
+    /// Shard (OS thread) count of this run.
+    pub threads: u64,
+    /// Fleet wall-clock throughput.
+    pub ops_per_sec: f64,
+    /// Throughput over the first point's.
+    pub speedup: f64,
+    /// Speedup over the thread-count ratio to the first point (1.0 =
+    /// perfectly linear).
+    pub efficiency: f64,
+}
+
+/// Derives throughput, speedup and efficiency for every point of a
+/// scaling curve against its first point. This is the one computation
+/// behind the report's `host.scaling` block, `finish`'s printed table,
+/// and [`gate_scaling`].
+pub fn scaling(points: &[ScalingPoint]) -> Vec<Scaled> {
+    let Some(first) = points.first() else {
+        return Vec::new();
+    };
+    let base = per_sec(first.ops, first.elapsed_ns);
+    let base_threads = first.threads.max(1) as f64;
+    points
+        .iter()
+        .map(|p| {
+            let ops_per_sec = per_sec(p.ops, p.elapsed_ns);
+            let speedup = if base > 0.0 { ops_per_sec / base } else { 0.0 };
+            Scaled {
+                threads: p.threads,
+                ops_per_sec,
+                speedup,
+                efficiency: speedup / (p.threads.max(1) as f64 / base_threads),
+            }
+        })
+        .collect()
+}
+
+/// Parallel efficiency above this is measurement noise, not scaling: a
+/// fleet of independent shards cannot beat linear.
+pub const MAX_EFFICIENCY: f64 = 1.05;
+
+/// The host-scaling gate over a measured curve. Every point's
+/// efficiency must lie in (0, [`MAX_EFFICIENCY`]] — which also makes
+/// every throughput positive — and, given a `floor` of
+/// `(threads, efficiency)`, the point at `threads` must reach that
+/// efficiency. It compares the values [`scaling`] derives, so exactly
+/// the ones `host.scaling` records.
+pub fn gate_scaling(points: &[ScalingPoint], floor: Option<(u64, f64)>) -> Result<(), String> {
+    let curve = scaling(points);
+    for p in &curve {
+        if !(p.efficiency > 0.0 && p.efficiency <= MAX_EFFICIENCY) {
+            return Err(format!(
+                "{}-thread efficiency {:.3} is outside (0, {MAX_EFFICIENCY}]",
+                p.threads, p.efficiency
+            ));
+        }
+    }
+    if let Some((threads, min)) = floor {
+        let p = curve.iter().find(|p| p.threads == threads).ok_or_else(|| {
+            let ran: Vec<u64> = curve.iter().map(|p| p.threads).collect();
+            format!("the efficiency floor names {threads} thread(s), but the sweep ran {ran:?}")
+        })?;
+        if p.efficiency < min {
+            return Err(format!(
+                "{threads}-thread efficiency {:.3} < floor {min:.2}",
+                p.efficiency
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Collects simulated-time measurements for one bench target and emits the
@@ -137,10 +237,6 @@ pub struct BenchRunner {
     telemetry: Vec<SeriesSnapshot>,
     host_throughput: Vec<HostThroughput>,
     host_scaling: Vec<ScalingPoint>,
-    /// The parallel-efficiency floor the run was gated on, if any
-    /// (`host.scaling_floor`): readers of the report — including
-    /// `fbuf-stress --check` — re-enforce it against the scaling curve.
-    host_scaling_floor: Option<(u64, f64)>,
     /// Further `host.<key>` blocks, in insertion order.
     host_entries: Vec<(String, Json)>,
     /// RNG seed the workload ran under (the `repro` header).
@@ -155,21 +251,14 @@ impl BenchRunner {
     /// Creates a runner for the bench target `name`, reading
     /// `FBUF_BENCH_ITERS` (default 5) for the per-scenario iteration count.
     pub fn new(name: &str) -> BenchRunner {
-        let iters = std::env::var("FBUF_BENCH_ITERS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(5);
-        BenchRunner::named(name, iters)
+        BenchRunner::named(name, knobs::count("FBUF_BENCH_ITERS", 5) as usize)
     }
 
-    /// Creates a runner with an explicit iteration count (ignores the
-    /// environment; used by tests and doctests).
+    /// Creates a runner with an explicit iteration count (used by tests
+    /// and doctests). The seed still comes from `FBUF_BENCH_SEED`.
     pub fn named(name: &str, iters: usize) -> BenchRunner {
-        let seed = std::env::var("FBUF_BENCH_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(crate::check::DEFAULT_SEED);
+        let seed =
+            knobs::read("FBUF_BENCH_SEED", knobs::parse_u64).unwrap_or(crate::check::DEFAULT_SEED);
         BenchRunner {
             name: name.to_string(),
             iters,
@@ -181,7 +270,6 @@ impl BenchRunner {
             telemetry: Vec::new(),
             host_throughput: Vec::new(),
             host_scaling: Vec::new(),
-            host_scaling_floor: None,
             host_entries: Vec::new(),
             seed,
             threads: 1,
@@ -238,40 +326,21 @@ impl BenchRunner {
     }
 
     /// Records an engine-throughput measurement under `host.throughput`:
-    /// `ops` operations took `elapsed_ns` of host wall-clock. An optional
-    /// `baseline_ns_per_op` from a reference engine build adds a
-    /// `speedup_vs_baseline` field, so the report carries its own
-    /// before/after comparison.
-    pub fn host_throughput(
-        &mut self,
-        label: &str,
-        ops: u64,
-        elapsed_ns: u64,
-        baseline_ns_per_op: Option<f64>,
-    ) {
+    /// `ops` operations took `elapsed_ns` of host wall-clock.
+    pub fn host_throughput(&mut self, label: &str, ops: u64, elapsed_ns: u64) {
         self.host_throughput.push(HostThroughput {
             label: label.to_string(),
             ops,
             elapsed_ns,
-            baseline_ns_per_op,
         });
     }
 
     /// Records the wall-clock thread-scaling curve under `host.scaling`:
     /// one [`ScalingPoint`] per thread count, in ascending order. Each
-    /// point gains derived `ops_per_sec`, `speedup_vs_1t` (vs the first
-    /// point), and `efficiency` (speedup over the thread-count ratio;
-    /// 1.0 = perfectly linear) fields in the report.
+    /// point gains the `ops_per_sec`, `speedup_vs_1t` (vs the first
+    /// point) and `efficiency` fields [`scaling`] derives.
     pub fn host_scaling(&mut self, points: &[ScalingPoint]) {
         self.host_scaling.extend_from_slice(points);
-    }
-
-    /// Records the parallel-efficiency floor the run was gated on, under
-    /// `host.scaling_floor` (`{threads, efficiency}`). The floor travels
-    /// with the report so any later validator can re-enforce it against
-    /// the embedded scaling curve, turning the gate into a ratchet.
-    pub fn host_scaling_floor(&mut self, threads: u64, efficiency: f64) {
-        self.host_scaling_floor = Some((threads, efficiency));
     }
 
     /// Attaches a further host-time block to the report under
@@ -364,60 +433,27 @@ impl BenchRunner {
             .host_throughput
             .iter()
             .map(|t| {
-                let ns_per_op = if t.ops > 0 { t.elapsed_ns as f64 / t.ops as f64 } else { 0.0 };
-                let ops_per_sec = if t.elapsed_ns > 0 {
-                    t.ops as f64 * 1e9 / t.elapsed_ns as f64
-                } else {
-                    0.0
-                };
-                let mut fields = vec![
-                    ("label".to_string(), t.label.to_json()),
-                    ("ops".to_string(), t.ops.to_json()),
-                    ("elapsed_ns".to_string(), t.elapsed_ns.to_json()),
-                    ("ns_per_op".to_string(), ns_per_op.to_json()),
-                    ("ops_per_sec".to_string(), ops_per_sec.to_json()),
-                ];
-                if let Some(base) = t.baseline_ns_per_op {
-                    fields.push(("baseline_ns_per_op".to_string(), base.to_json()));
-                    if ns_per_op > 0.0 {
-                        fields.push((
-                            "speedup_vs_baseline".to_string(),
-                            (base / ns_per_op).to_json(),
-                        ));
-                    }
-                }
-                Json::Obj(fields)
+                Json::obj(vec![
+                    ("label", t.label.to_json()),
+                    ("ops", t.ops.to_json()),
+                    ("elapsed_ns", t.elapsed_ns.to_json()),
+                    ("ns_per_op", t.ns_per_op().to_json()),
+                    ("ops_per_sec", per_sec(t.ops, t.elapsed_ns).to_json()),
+                ])
             })
             .collect();
-        let base_ops_per_sec = self
-            .host_scaling
-            .first()
-            .filter(|p| p.elapsed_ns > 0)
-            .map(|p| p.ops as f64 * 1e9 / p.elapsed_ns as f64);
-        let base_threads = self.host_scaling.first().map(|p| p.threads.max(1));
         let host_scaling: Vec<Json> = self
             .host_scaling
             .iter()
-            .map(|p| {
-                let ops_per_sec = if p.elapsed_ns > 0 {
-                    p.ops as f64 * 1e9 / p.elapsed_ns as f64
-                } else {
-                    0.0
-                };
-                let speedup = base_ops_per_sec
-                    .filter(|&b| b > 0.0)
-                    .map(|b| ops_per_sec / b)
-                    .unwrap_or(0.0);
-                let efficiency = base_threads
-                    .map(|b| speedup / (p.threads.max(1) as f64 / b as f64))
-                    .unwrap_or(0.0);
+            .zip(scaling(&self.host_scaling))
+            .map(|(p, s)| {
                 Json::obj(vec![
                     ("threads", p.threads.to_json()),
                     ("ops", p.ops.to_json()),
                     ("elapsed_ns", p.elapsed_ns.to_json()),
-                    ("ops_per_sec", ops_per_sec.to_json()),
-                    ("speedup_vs_1t", speedup.to_json()),
-                    ("efficiency", efficiency.to_json()),
+                    ("ops_per_sec", s.ops_per_sec.to_json()),
+                    ("speedup_vs_1t", s.speedup.to_json()),
+                    ("efficiency", s.efficiency.to_json()),
                 ])
             })
             .collect();
@@ -427,15 +463,6 @@ impl BenchRunner {
             ("throughput", Json::Arr(host_tp)),
             ("scaling", Json::Arr(host_scaling)),
         ];
-        if let Some((threads, efficiency)) = self.host_scaling_floor {
-            host_fields.push((
-                "scaling_floor",
-                Json::obj(vec![
-                    ("threads", threads.to_json()),
-                    ("efficiency", efficiency.to_json()),
-                ]),
-            ));
-        }
         host_fields.extend(self.host_entries.iter().map(|(k, v)| (k.as_str(), v.clone())));
         let host = Json::obj(host_fields);
         let repro = Json::obj(vec![
@@ -472,10 +499,32 @@ impl BenchRunner {
         ])
     }
 
+    /// The write-time rule: `repro.params.policy` names the
+    /// chunk-admission policy the run executed under — a string, or a
+    /// non-empty array of strings for a multi-policy sweep.
+    fn check_policy(&self) -> Result<(), String> {
+        let named = match self.params.iter().find(|(k, _)| k == "policy") {
+            Some((_, Json::Str(_))) => true,
+            Some((_, Json::Arr(a))) => !a.is_empty() && a.iter().all(|v| v.as_str().is_some()),
+            _ => false,
+        };
+        if named {
+            Ok(())
+        } else {
+            Err(format!(
+                "BENCH_{}: `repro.params.policy` must name the admission policy (a string or a non-empty string array)",
+                self.name
+            ))
+        }
+    }
+
     /// Prints the summary table, writes `BENCH_<name>.json` into
     /// `FBUF_BENCH_DIR` (default `target/bench-reports`), and returns the
-    /// report path.
+    /// report path. Refuses (`InvalidInput`, nothing written) a report
+    /// that does not name its policy.
     pub fn finish(self) -> std::io::Result<PathBuf> {
+        self.check_policy()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         println!("\n== bench {} (simulated time) ==", self.name);
         println!(
             "{:<36} {:>9} {:>12} {:>12} {:>12}",
@@ -493,53 +542,24 @@ impl BenchRunner {
             );
         }
         for t in &self.host_throughput {
-            let ns_per_op = if t.ops > 0 { t.elapsed_ns as f64 / t.ops as f64 } else { 0.0 };
-            let ops_per_sec = if t.elapsed_ns > 0 {
-                t.ops as f64 * 1e9 / t.elapsed_ns as f64
-            } else {
-                0.0
-            };
-            print!(
+            println!(
                 "host: {:<29} {:>10} ops in {:>8.1} ms -> {:>8.1} ns/op, {:>11.0} ops/s",
                 t.label,
                 t.ops,
                 t.elapsed_ns as f64 / 1e6,
-                ns_per_op,
-                ops_per_sec
+                t.ns_per_op(),
+                per_sec(t.ops, t.elapsed_ns)
             );
-            match t.baseline_ns_per_op {
-                Some(base) if ns_per_op > 0.0 => {
-                    println!(" ({:.2}x vs baseline {:.1} ns/op)", base / ns_per_op, base)
-                }
-                _ => println!(),
-            }
         }
         if !self.host_scaling.is_empty() {
-            let base = self
-                .host_scaling
-                .first()
-                .filter(|p| p.elapsed_ns > 0)
-                .map(|p| (p.threads.max(1), p.ops as f64 * 1e9 / p.elapsed_ns as f64));
             println!("host scaling (wall-clock):");
-            for p in &self.host_scaling {
-                let ops_per_sec = if p.elapsed_ns > 0 {
-                    p.ops as f64 * 1e9 / p.elapsed_ns as f64
-                } else {
-                    0.0
-                };
-                let (speedup, eff) = base
-                    .filter(|&(_, b)| b > 0.0)
-                    .map(|(bt, b)| {
-                        let s = ops_per_sec / b;
-                        (s, s / (p.threads.max(1) as f64 / bt as f64))
-                    })
-                    .unwrap_or((0.0, 0.0));
+            for s in scaling(&self.host_scaling) {
                 println!(
                     "  {:>2} thread(s): {:>11.0} ops/s  ({:.2}x vs first, {:.0}% of linear)",
-                    p.threads,
-                    ops_per_sec,
-                    speedup,
-                    eff * 100.0
+                    s.threads,
+                    s.ops_per_sec,
+                    s.speedup,
+                    s.efficiency * 100.0
                 );
             }
         }
@@ -639,7 +659,7 @@ mod tests {
     #[test]
     fn telemetry_block_always_present_and_carries_series() {
         // Bare report: the block exists with the default cadence and no
-        // series, so `--check` can rely on the key unconditionally.
+        // series, so readers can rely on the key unconditionally.
         let mut r = BenchRunner::named("bare_telemetry", 1);
         r.measure("x", Unit::SimUs, || 1.0);
         let doc = r.report();
@@ -679,7 +699,7 @@ mod tests {
     fn host_block_reports_wall_clock_for_every_scenario() {
         let mut r = BenchRunner::named("hosted", 3);
         r.measure("work", Unit::SimUs, || 1.0);
-        r.host_throughput("steady_state", 1_000, 2_000_000, None);
+        r.host_throughput("steady_state", 1_000, 2_000_000);
         let doc = r.report();
         let host = doc.get("host").expect("host block present");
         assert_eq!(host.get("timebase").unwrap().as_str(), Some("wall_clock_ns"));
@@ -692,18 +712,6 @@ mod tests {
         assert_eq!(tp[0].get("ops").unwrap().as_f64(), Some(1_000.0));
         assert_eq!(tp[0].get("ns_per_op").unwrap().as_f64(), Some(2_000.0));
         assert_eq!(tp[0].get("ops_per_sec").unwrap().as_f64(), Some(500_000.0));
-        assert!(tp[0].get("baseline_ns_per_op").is_none());
-    }
-
-    #[test]
-    fn host_throughput_carries_baseline_speedup() {
-        let mut r = BenchRunner::named("speedup", 1);
-        r.host_throughput("steady_state", 100, 100_000, Some(4_000.0));
-        let doc = r.report();
-        let tp = &doc.get("host").unwrap().get("throughput").unwrap().as_arr().unwrap()[0];
-        assert_eq!(tp.get("baseline_ns_per_op").unwrap().as_f64(), Some(4_000.0));
-        // 1000 ns/op measured vs 4000 ns/op baseline = 4x.
-        assert_eq!(tp.get("speedup_vs_baseline").unwrap().as_f64(), Some(4.0));
     }
 
     #[test]
@@ -756,18 +764,87 @@ mod tests {
         assert!((scaling[2].get("efficiency").unwrap().as_f64().unwrap() - 0.625).abs() < 1e-9);
     }
 
+    /// A 1-to-2-thread curve whose 2-thread run took `ns2` for the
+    /// 1-thread run's ops over 1 ms: efficiency is `500_000 / ns2`.
+    fn curve(ns2: u64) -> [ScalingPoint; 2] {
+        [
+            ScalingPoint { threads: 1, ops: 1_000, elapsed_ns: 1_000_000 },
+            ScalingPoint { threads: 2, ops: 1_000, elapsed_ns: ns2 },
+        ]
+    }
+
     #[test]
-    fn scaling_floor_travels_in_the_host_block() {
-        let mut r = BenchRunner::named("floored", 1);
-        r.host_scaling(&[ScalingPoint { threads: 2, ops: 2_000, elapsed_ns: 1_000_000 }]);
-        r.host_scaling_floor(2, 0.6);
-        let doc = r.report();
-        let floor = doc.get("host").unwrap().get("scaling_floor").expect("floor recorded");
-        assert_eq!(floor.get("threads").unwrap().as_f64(), Some(2.0));
-        assert_eq!(floor.get("efficiency").unwrap().as_f64(), Some(0.6));
-        // Absent unless explicitly set.
-        let bare = BenchRunner::named("bare", 1).report();
-        assert!(bare.get("host").unwrap().get("scaling_floor").is_none());
+    fn scaling_gate_passes_a_curve_above_its_floor() {
+        // 1.6x at 2 threads: 80% of linear.
+        assert_eq!(gate_scaling(&curve(625_000), Some((2, 0.6))), Ok(()));
+        assert_eq!(gate_scaling(&curve(625_000), None), Ok(()));
+        // A lone point is its own baseline: efficiency 1.0.
+        assert_eq!(gate_scaling(&curve(625_000)[..1], None), Ok(()));
+    }
+
+    #[test]
+    fn scaling_gate_fails_a_floor_breach() {
+        // 1.1x at 2 threads: 55% of linear.
+        let e = gate_scaling(&curve(909_091), Some((2, 0.6))).unwrap_err();
+        assert!(e.contains("2-thread efficiency 0.550 < floor 0.60"), "{e}");
+    }
+
+    #[test]
+    fn scaling_gate_fails_superlinear_efficiency() {
+        // 2.8x at 2 threads: 140% of linear, beyond the 1.05 bound,
+        // with or without a floor.
+        for floor in [None, Some((2, 0.6))] {
+            let e = gate_scaling(&curve(357_143), floor).unwrap_err();
+            assert!(e.contains("2-thread efficiency 1.400 is outside (0, 1.05]"), "{e}");
+        }
+        // Just under the bound passes; zero throughput does not.
+        assert_eq!(gate_scaling(&curve(476_191), None), Ok(()));
+        let stalled = [ScalingPoint { threads: 1, ops: 0, elapsed_ns: 1 }];
+        assert!(gate_scaling(&stalled, None).unwrap_err().contains("outside (0"));
+    }
+
+    #[test]
+    fn scaling_gate_fails_a_floor_on_a_thread_count_the_sweep_skipped() {
+        let e = gate_scaling(&curve(625_000), Some((4, 0.6))).unwrap_err();
+        assert!(e.contains("names 4 thread(s), but the sweep ran [1, 2]"), "{e}");
+    }
+
+    #[test]
+    fn scaling_gate_compares_the_efficiency_host_scaling_records() {
+        let points = curve(700_001);
+        let mut r = BenchRunner::named("gated", 1);
+        r.host_scaling(&points);
+        let doc = Json::parse(&r.report().render()).unwrap();
+        let recorded = doc.get("host").unwrap().get("scaling").unwrap().as_arr().unwrap()[1]
+            .get("efficiency")
+            .unwrap()
+            .as_f64()
+            .unwrap();
+        assert_eq!(recorded, scaling(&points)[1].efficiency);
+        // A floor at exactly the recorded value passes; the next float
+        // above it fails.
+        assert_eq!(gate_scaling(&points, Some((2, recorded))), Ok(()));
+        let above = f64::from_bits(recorded.to_bits() + 1);
+        assert!(gate_scaling(&points, Some((2, above))).is_err());
+    }
+
+    #[test]
+    fn finish_refuses_a_report_that_does_not_name_its_policy() {
+        let mut r = BenchRunner::named("unnamed_policy", 1);
+        r.measure("x", Unit::SimUs, || 1.0);
+        let e = r.finish().unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains("repro.params.policy"), "{e}");
+
+        let named = |policy: Json| {
+            let mut r = BenchRunner::named("named_policy", 1);
+            r.param("policy", policy);
+            r.check_policy()
+        };
+        assert_eq!(named("static".to_json()), Ok(()));
+        assert_eq!(named(Json::Arr(vec!["static".to_json(), "fb-dynamic".to_json()])), Ok(()));
+        assert!(named(Json::Arr(vec![])).is_err());
+        assert!(named(1u64.to_json()).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Environment knobs of the bench binaries: one reader, one set of rules.
+//! Environment knobs of the bench layer: one reader, one set of rules.
 //!
-//! Every binary in `src/bin/` is configured through `FBUF_*` variables.
+//! The bench runner ([`BenchRunner`](crate::bench::BenchRunner)) and
+//! every bench binary are configured through `FBUF_*` variables.
 //! Each kind of value has a pure parser that takes the variable's name
 //! and its raw value (`None` when unset), so tests never touch the
 //! process environment; [`read`] applies one to the environment. The
@@ -144,6 +145,19 @@ mod tests {
                 "{gate}"
             );
         }
+    }
+
+    #[test]
+    fn bench_runner_knobs_follow_the_same_rules() {
+        // `FBUF_BENCH_ITERS` is a count, `FBUF_BENCH_SEED` an integer:
+        // `5k` is an error naming the variable, not 5 iterations.
+        let e = parse_count("FBUF_BENCH_ITERS", Some("5k"), 5).unwrap_err();
+        assert!(e.contains("FBUF_BENCH_ITERS=\"5k\""), "{e}");
+        assert_eq!(parse_count("FBUF_BENCH_ITERS", Some("0"), 5), Ok(5));
+        assert_eq!(parse_u64("FBUF_BENCH_SEED", Some("0xfb0f")), Ok(Some(0xfb0f)));
+        assert!(parse_u64("FBUF_BENCH_SEED", Some("seed"))
+            .unwrap_err()
+            .contains("FBUF_BENCH_SEED"));
     }
 
     #[test]

@@ -34,6 +34,9 @@
 //! * [`mod@bench`] — a bench runner that reports the simulator's **calibrated
 //!   simulated time**, plus host wall-clock engine throughput under each
 //!   report's `host` block (replaces `criterion`).
+//! * [`knobs`] — the `FBUF_*` environment-knob parsers shared by the
+//!   bench runner and the bench binaries (one set of rules: unset means
+//!   default, a malformed value exits 2 naming the variable).
 //! * [`Arena`] — a generational slab arena backing the hot-path id tables
 //!   (fbufs, VM objects): O(1) index derefs, stale handles error instead
 //!   of aliasing recycled slots.
@@ -83,6 +86,7 @@ pub mod event;
 pub mod fault;
 pub mod hist;
 pub mod json;
+pub mod knobs;
 pub mod metrics;
 pub mod rng;
 pub mod spans;
