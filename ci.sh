@@ -40,10 +40,12 @@ test -s target/bench-reports/LEDGER_fleet.json
 # register more per-path and per-inbox gauges than the cap admits, and
 # the shard's batched-plane gauges (`ring_batch_occupancy`,
 # `notice_coalesce_factor`) must still be recorded (fbuf-stress exits
-# nonzero before writing its report if either is missing). Runs before
-# the efficiency floor below is exported: one thread has no scaling
-# curve to floor.
-FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=16 FBUF_STRESS_THREADS=1 \
+# nonzero before writing its report if either is missing). The 1- and
+# 2-thread curve must also stay within (0, 1.05] parallel efficiency
+# with many columns per shard: a sampler whose cost grew with the paths
+# on a shard would make it superlinear. Runs before the efficiency
+# floor below is exported.
+FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=16 FBUF_STRESS_THREADS=1,2 \
     FBUF_BENCH_DIR=target/bench-reports/stress-16-paths \
     cargo run --release -q -p fbuf-bench --bin fbuf-stress
 

@@ -688,10 +688,9 @@ impl Shard {
                 row
             }
         };
-        let width = values.iter().flatten().count();
-        m.push_row(row, now, width, |cols| {
-            for (col, v) in cols.iter_mut().zip(values.into_iter().flatten()) {
-                *col = v;
+        m.push_row(row, now, |w| {
+            for (c, v) in values.into_iter().flatten().enumerate() {
+                w.set(c, v);
             }
         });
     }

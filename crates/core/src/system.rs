@@ -33,12 +33,12 @@
 //!   [`FbufSystem::reclaim_frames`] pops victims lazily instead of
 //!   materializing a global victim vector.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use fbuf_ipc::Rpc;
-use fbuf_sim::metrics::{Metrics, Row};
+use fbuf_sim::metrics::{DirtySet, Metrics, Row};
 use fbuf_sim::{
     slot_of, Arena, CostCategory, EventKind, FaultPlan, FaultSite, MachineConfig, Ns, Stats,
 };
@@ -187,8 +187,8 @@ pub struct FbufSystem {
     /// Bumped whenever the sampled columns can change: a domain is
     /// registered or terminated, a path is created or dies.
     layout_gen: u64,
-    /// The telemetry row of [`FbufSystem::sample_gauges_at`].
-    sample_row: Cell<Option<SampleRow>>,
+    /// The telemetry sampler of [`FbufSystem::sample_gauges_at`].
+    sampler: RefCell<Sampler>,
 }
 
 /// The system-wide gauges, in sampling order (always admitted: the
@@ -201,23 +201,45 @@ const SYSTEM_GAUGES: [&str; 5] = [
     "free_chunks",
 ];
 
-/// The per-path gauges, sampled as `path<i>.<gauge>`.
+/// The per-path gauges, sampled as `path<i>.<gauge>`. Bit `1 << g` of
+/// a path's dirty mask names gauge `g`.
 const PATH_GAUGES: [&str; 3] = ["parked", "chunks", "threshold"];
 
-/// The row [`FbufSystem::sample_gauges_at`] records, and the layout it
-/// was registered for: the [`SYSTEM_GAUGES`], the [`PATH_GAUGES`] of
-/// every live path, then `inbox<d>` of every registered domain.
-#[derive(Debug, Clone, Copy)]
-struct SampleRow {
-    row: Row,
-    /// [`FbufSystem`]'s `layout_gen` at registration.
-    layout_gen: u64,
-    /// Live paths: the row has `3 * paths` path columns.
-    paths: usize,
-    /// Inbox columns. They are registered on the first sample taken
-    /// with the event loop in place; a sample without it stops short
-    /// of them.
-    inboxes: Option<usize>,
+/// Dirty bit of `path<i>.parked` (the path's free list moved).
+const PARKED: u8 = 1;
+/// Dirty bit of `path<i>.chunks` (a chunk was granted or returned).
+const CHUNKS: u8 = 2;
+/// Dirty bit of `path<i>.threshold` (the path's class changed).
+const THRESHOLD: u8 = 4;
+
+/// Column index of a path or domain the sampler's rows leave out.
+const NO_COL: u32 = u32::MAX;
+
+/// The change-only telemetry sampler of
+/// [`FbufSystem::sample_gauges_at`]: its two rows, and the dirty marks
+/// that say which per-path columns moved since the last sample.
+#[derive(Debug, Default)]
+struct Sampler {
+    /// The main row, [`SYSTEM_GAUGES`] then the [`PATH_GAUGES`] of every
+    /// live path, and the `layout_gen` it was registered at.
+    main: Option<(Row, u64)>,
+    /// The inbox row, `inbox<d>` of every registered domain, and the
+    /// `layout_gen` it was registered at. Registered on the first
+    /// sample taken with the event loop in place; a sample inside a hop
+    /// handler (the loop is out) records the main row only.
+    inbox: Option<(Row, u64)>,
+    /// The live paths, in main-row column order.
+    paths: Vec<PathId>,
+    /// Main-row column of each path id's first gauge, or [`NO_COL`].
+    path_col: Vec<u32>,
+    /// The registered domains, in inbox-row column order.
+    doms: Vec<DomainId>,
+    /// Inbox-row column of each domain id, or [`NO_COL`].
+    dom_col: Vec<u32>,
+    /// Per path id, the [`PATH_GAUGES`] whose source moved.
+    dirty: DirtySet,
+    /// Every `threshold` column moved: `free_chunks` or the policy did.
+    thresholds: bool,
 }
 
 /// Free-list reuse order (see [`FbufSystem::reuse_policy`]).
@@ -356,7 +378,7 @@ impl FbufSystem {
             jail_strikes: Vec::new(),
             revoke_timeout: None,
             layout_gen: 0,
-            sample_row: Cell::new(None),
+            sampler: RefCell::default(),
         };
         let kernel = fbuf_vm::KERNEL_DOMAIN;
         sys.machine
@@ -483,81 +505,186 @@ impl FbufSystem {
     /// the metrics are enabled). Callers that own the cadence (the
     /// shard loop, which adds ring-occupancy gauges of its own) use this
     /// directly; everyone else goes through
-    /// [`FbufSystem::sample_metrics`]. A sample is one row, written in
-    /// place; names are formatted and registered only when the layout
-    /// changes. Inside a hop handler the event loop is out of place, so
-    /// the row stops short of the inbox columns.
+    /// [`FbufSystem::sample_metrics`].
+    ///
+    /// A sample costs what moved, not what exists. It reads the five
+    /// system gauges, then only the per-path and per-domain columns
+    /// whose source was marked dirty since the last sample: a park or
+    /// unpark marks `path<i>.parked`, a chunk grant or return marks
+    /// `path<i>.chunks` and (through `free_chunks`) every `threshold`,
+    /// a policy or class change marks `threshold`, and the event loop
+    /// marks each inbox it pushes or pops. Every other column repeats
+    /// its last value. Names are formatted and registered only when the
+    /// layout changes, and the first sample after that writes every
+    /// column. In debug builds every sample also recomputes every
+    /// column and panics on one that moved without a mark. Inside a hop
+    /// handler the event loop is out of place, so the sample records
+    /// the main row without the inbox row.
     pub fn sample_gauges_at(&self, now: Ns) {
         let m = self.machine.metrics_ref();
         if !m.is_enabled() {
             return;
         }
-        let engine = self.engine.as_ref();
-        let layout = self.sample_row(m, engine.is_some());
-        let path_end = SYSTEM_GAUGES.len() + PATH_GAUGES.len() * layout.paths;
-        let width = path_end + engine.and(layout.inboxes).unwrap_or(0);
+        let mut sampler = self.sampler.borrow_mut();
+        let s = &mut *sampler;
         let free = self.chunk_alloc.available();
-        let quota = self.machine.config().max_chunks_per_path;
-        m.push_row(layout.row, now, width, |values| {
-            let (system, rest) = values.split_at_mut(SYSTEM_GAUGES.len());
-            system.copy_from_slice(&[
+        let engine = self.engine.as_ref();
+        let (row, fresh) = self.main_row(m, s);
+        let Sampler {
+            paths,
+            path_col,
+            dirty,
+            thresholds,
+            ..
+        } = s;
+        let path_cols = || {
+            paths
+                .iter()
+                .zip((SYSTEM_GAUGES.len()..).step_by(PATH_GAUGES.len()))
+        };
+        m.push_row(row, now, |w| {
+            let system = [
                 self.fbufs.len() as u64,
                 self.parked_count,
                 engine.map_or(0, fbuf_ipc::EventLoop::pending) as u64,
                 self.machine.stats_ref().overload_drops(),
                 free,
-            ]);
-            let (paths, inboxes) = rest.split_at_mut(path_end - SYSTEM_GAUGES.len());
-            let live = self.paths.iter().filter(|p| p.live);
-            for (cols, p) in paths.chunks_exact_mut(PATH_GAUGES.len()).zip(live) {
-                cols.copy_from_slice(&[
-                    p.parked() as u64,
-                    self.path_chunks(p.id) as u64,
-                    self.policy.threshold(free, quota, self.path_class(p.id)),
-                ]);
+            ];
+            for (c, v) in system.into_iter().enumerate() {
+                w.set(c, v);
             }
-            if let Some(e) = engine {
-                let doms = (0..self.registered.len()).filter(|&d| self.registered[d]);
-                for (col, d) in inboxes.iter_mut().zip(doms) {
-                    *col = e.inbox_len(DomainId(d as u32)) as u64;
+            if fresh {
+                dirty.drain(|_, _| {});
+                for (&p, base) in path_cols() {
+                    for g in 0..PATH_GAUGES.len() {
+                        w.set(base + g, self.path_gauge(p, g, free));
+                    }
+                }
+                return;
+            }
+            dirty.drain(|p, bits| {
+                let Some(&base) = path_col.get(p).filter(|&&c| c != NO_COL) else {
+                    return;
+                };
+                for g in (0..PATH_GAUGES.len()).filter(|g| bits & 1 << g != 0) {
+                    w.set(
+                        base as usize + g,
+                        self.path_gauge(PathId(p as u64), g, free),
+                    );
+                }
+            });
+            if *thresholds {
+                for (&p, base) in path_cols() {
+                    w.set(base + 2, self.path_gauge(p, 2, free));
                 }
             }
         });
+        *thresholds = false;
+        #[cfg(debug_assertions)]
+        m.assert_row(row, |c| match c {
+            0 => self.fbufs.len() as u64,
+            1 => self.parked_count,
+            2 => engine.map_or(0, fbuf_ipc::EventLoop::pending) as u64,
+            3 => self.machine.stats_ref().overload_drops(),
+            4 => free,
+            c => {
+                let i = c - SYSTEM_GAUGES.len();
+                self.path_gauge(paths[i / PATH_GAUGES.len()], i % PATH_GAUGES.len(), free)
+            }
+        });
+        let Some(e) = engine else {
+            return;
+        };
+        let (row, fresh) = self.inbox_row(m, s);
+        let inbox = |d: DomainId| e.inbox_len(d) as u64;
+        m.push_row(row, now, |w| {
+            if fresh {
+                for (c, &d) in s.doms.iter().enumerate() {
+                    w.set(c, inbox(d));
+                }
+                e.drain_changed_inboxes(|_| {});
+                return;
+            }
+            e.drain_changed_inboxes(|d| match s.dom_col.get(d.0 as usize) {
+                Some(&c) if c != NO_COL => w.set(c as usize, inbox(d)),
+                _ => {}
+            });
+        });
+        #[cfg(debug_assertions)]
+        m.assert_row(row, |c| inbox(s.doms[c]));
     }
 
-    /// The system's telemetry row, registered again whenever its layout
-    /// is stale: after a metrics clear, a domain or path change, or on
-    /// the first sample with the event loop in place.
-    fn sample_row(&self, m: &Metrics, engine: bool) -> SampleRow {
-        let cur = self.sample_row.get();
-        if let Some(cur) = cur.filter(|c| {
-            m.is_current(c.row)
-                && c.layout_gen == self.layout_gen
-                && (c.inboxes.is_some() || !engine)
-        }) {
-            return cur;
+    /// Gauge `g` of [`PATH_GAUGES`] of path `p`, as its source reads
+    /// now.
+    fn path_gauge(&self, p: PathId, g: usize, free: u64) -> u64 {
+        match g {
+            0 => self.paths[p.0 as usize].parked() as u64,
+            1 => self.path_chunks(p) as u64,
+            _ => {
+                let quota = self.machine.config().max_chunks_per_path;
+                self.policy.threshold(free, quota, self.path_class(p))
+            }
         }
-        let live: Vec<usize> = (0..self.paths.len())
-            .filter(|&i| self.paths[i].live)
-            .collect();
-        let doms: Vec<usize> = (0..self.registered.len())
-            .filter(|&d| self.registered[d])
-            .collect();
+    }
+
+    /// The main telemetry row, registered again whenever its layout is
+    /// stale (after a metrics clear, a domain or path change), and
+    /// whether it was: its next sample then writes every column.
+    fn main_row(&self, m: &Metrics, s: &mut Sampler) -> (Row, bool) {
+        if let Some((row, gen)) = s.main {
+            if m.is_current(row) && gen == self.layout_gen {
+                return (row, false);
+            }
+        }
+        s.paths = self.paths.iter().filter(|p| p.live).map(|p| p.id).collect();
+        s.path_col = vec![NO_COL; self.paths.len()];
         let mut capped = Vec::new();
-        for i in &live {
-            capped.extend(PATH_GAUGES.iter().map(|g| format!("path{i}.{g}")));
+        for (k, p) in s.paths.iter().enumerate() {
+            s.path_col[p.0 as usize] = (SYSTEM_GAUGES.len() + PATH_GAUGES.len() * k) as u32;
+            capped.extend(PATH_GAUGES.iter().map(|g| format!("path{}.{g}", p.0)));
         }
-        if engine {
-            capped.extend(doms.iter().map(|d| format!("inbox{d}")));
+        let replaces = s.main.map(|(row, _)| row);
+        let row = m.register_row(replaces, &SYSTEM_GAUGES, &capped);
+        s.main = Some((row, self.layout_gen));
+        (row, true)
+    }
+
+    /// The inbox telemetry row, registered again whenever its layout is
+    /// stale, and whether it was (see [`FbufSystem::main_row`]).
+    fn inbox_row(&self, m: &Metrics, s: &mut Sampler) -> (Row, bool) {
+        if let Some((row, gen)) = s.inbox {
+            if m.is_current(row) && gen == self.layout_gen {
+                return (row, false);
+            }
         }
-        let next = SampleRow {
-            row: m.register_row(cur.map(|c| c.row), &SYSTEM_GAUGES, &capped),
-            layout_gen: self.layout_gen,
-            paths: live.len(),
-            inboxes: engine.then_some(doms.len()),
-        };
-        self.sample_row.set(Some(next));
-        next
+        s.doms = (0..self.registered.len())
+            .filter(|&d| self.registered[d])
+            .map(|d| DomainId(d as u32))
+            .collect();
+        s.dom_col = vec![NO_COL; self.registered.len()];
+        for (c, d) in s.doms.iter().enumerate() {
+            s.dom_col[d.0 as usize] = c as u32;
+        }
+        let capped: Vec<String> = s.doms.iter().map(|d| format!("inbox{}", d.0)).collect();
+        let row = m.register_row(s.inbox.map(|(row, _)| row), &[], &capped);
+        s.inbox = Some((row, self.layout_gen));
+        (row, true)
+    }
+
+    /// Marks gauges `bits` of `path` dirty for the telemetry sampler.
+    #[inline]
+    fn mark(&mut self, path: PathId, bits: u8) {
+        self.sampler.get_mut().dirty.mark(path.0 as usize, bits);
+    }
+
+    /// Marks what a chunk grant or return to `path`'s allocator moves:
+    /// its `chunks` column and, through `free_chunks`, every
+    /// `threshold`.
+    fn mark_chunks(&mut self, path: Option<PathId>) {
+        if let Some(p) = path {
+            self.mark(p, CHUNKS);
+        }
+        self.sampler.get_mut().thresholds = true;
     }
 
     /// Arms a fault-injection plan across the whole engine: the fbuf
@@ -608,6 +735,7 @@ impl FbufSystem {
     /// policy is consulted per decision and keeps no state of its own.
     pub fn set_quota_policy(&mut self, policy: QuotaPolicy) {
         self.policy = policy;
+        self.sampler.get_mut().thresholds = true;
     }
 
     /// The active chunk-admission policy.
@@ -622,6 +750,7 @@ impl FbufSystem {
             return Err(FbufError::NoSuchPath(path));
         }
         self.path_class[path.0 as usize] = class;
+        self.mark(path, THRESHOLD);
         Ok(())
     }
 
@@ -799,6 +928,7 @@ impl FbufSystem {
                     }
                 };
                 if let Some(id) = parked {
+                    self.mark(path_id, PARKED);
                     self.park_unlink(id);
                     let id = match self.reuse_cached(id, dom, len) {
                         Ok(id) => id,
@@ -816,6 +946,7 @@ impl FbufSystem {
                                 .pages;
                             self.paths[path_id.0 as usize].park(pages, id);
                             self.park_push_tail(id);
+                            self.mark(path_id, PARKED);
                             return Err(e);
                         }
                     };
@@ -1018,6 +1149,7 @@ impl FbufSystem {
                         .get_mut(&(dom.0, path))
                         .expect("inserted above")
                         .add_chunk(chunk);
+                    self.mark_chunks(path);
                 }
             }
         };
@@ -1398,6 +1530,7 @@ impl FbufSystem {
         for id in victims {
             let path = self.hot_of(id).path.expect("parked fbuf is cached");
             self.paths[path.0 as usize].unpark(id);
+            self.mark(path, PARKED);
             self.machine.stats_ref().inc_fbufs_revoked();
             self.ledger.dom_mut(dom.0).revocations += 1;
             self.ledger.path_mut(path.0).revocations += 1;
@@ -1462,7 +1595,9 @@ impl FbufSystem {
             }
             self.machine
                 .charge(CostCategory::Alloc, self.machine.costs().freelist_op);
-            self.paths[path.expect("cached fbuf has a path").0 as usize].park(pages, id);
+            let path = path.expect("cached fbuf has a path");
+            self.paths[path.0 as usize].park(pages, id);
+            self.mark(path, PARKED);
             self.park_push_tail(id);
             return Ok(());
         }
@@ -1689,6 +1824,7 @@ impl FbufSystem {
             for chunk in alloc.take_chunks() {
                 self.chunk_alloc.reclaim(chunk);
             }
+            self.mark_chunks(k.1);
         }
     }
 
@@ -2179,5 +2315,78 @@ mod tests {
         assert_eq!(sampled_at(format!("inbox{}", a.0)), [0, 1, 2, 3]);
         assert_eq!(sampled_at(format!("inbox{}", b.0)), [0, 1, 2]);
         assert_eq!(sampled_at(format!("inbox{}", c.0)), [0, 1]);
+    }
+
+    #[test]
+    fn change_only_samples_follow_every_marked_source() {
+        // Every source of a per-path column moves between samples: parks
+        // and unparks, chunk grants and a zombie chunk return, a class
+        // and a policy change. A debug build recomputes every column at
+        // each sample and panics on one that moved unmarked; the series
+        // must also read each move.
+        let (mut s, a, b, c) = sys();
+        let m = s.machine().metrics();
+        m.set_enabled(true);
+        // Only the samples below: the operations' own checkpoints are
+        // never due.
+        m.set_cadence(u64::MAX);
+        m.advance(Ns(0));
+        let p = s.create_path(vec![a, b]).unwrap();
+        let q = s.create_path(vec![c, b]).unwrap();
+        s.set_quota_policy(QuotaPolicy::priority_weighted());
+        let mut t = 0;
+        let mut sample = |s: &FbufSystem| {
+            t += 1;
+            s.sample_gauges_at(Ns(t));
+        };
+        sample(&s);
+        let x = s.alloc(a, AllocMode::Cached(p), 4096).unwrap();
+        let y = s.alloc(c, AllocMode::Cached(q), 4096).unwrap();
+        sample(&s);
+        s.free(x, a).unwrap();
+        sample(&s);
+        s.set_path_class(p, 3).unwrap();
+        sample(&s);
+        let x = s.alloc(a, AllocMode::Cached(p), 4096).unwrap();
+        sample(&s);
+        s.set_quota_policy(QuotaPolicy::Static);
+        sample(&s);
+        s.send(y, c, b, SendMode::Volatile).unwrap();
+        s.terminate_domain(c).unwrap();
+        sample(&s);
+        s.free(y, b).unwrap();
+        sample(&s);
+        s.free(x, a).unwrap();
+        sample(&s);
+        let series = m.series();
+        let values = |name: &str| -> Vec<u64> {
+            let s = series
+                .iter()
+                .find(|s| s.name == name)
+                .expect("series exists");
+            s.points.iter().map(|p| p.value).collect()
+        };
+        assert_eq!(values("path0.parked"), [0, 0, 1, 1, 0, 0, 0, 0, 1]);
+        assert_eq!(values("path0.chunks"), [0, 1, 1, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(values("path1.chunks"), [0, 1, 1, 1, 1, 1]);
+        let free = values("free_chunks");
+        assert!(free[7] > free[6], "the zombie's chunk came back: {free:?}");
+        let threshold = values("path0.threshold");
+        let quota = s.machine().config().max_chunks_per_path as u64;
+        assert_ne!(threshold[3], threshold[2], "the class change moved it");
+        assert_eq!(threshold[5], quota, "the static policy's threshold");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not marked dirty")]
+    fn a_gauge_that_moves_without_a_dirty_mark_fails_the_sample() {
+        let (mut s, a, b, _) = sys();
+        s.machine().metrics_ref().set_enabled(true);
+        let p = s.create_path(vec![a, b]).unwrap();
+        s.sample_gauges_at(Ns(0));
+        // Straight onto the free list, past the mark `dealloc` takes.
+        s.paths[p.0 as usize].park(1, FbufId(7));
+        s.sample_gauges_at(Ns(1));
     }
 }

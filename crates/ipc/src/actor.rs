@@ -36,8 +36,10 @@
 //! charges in the same order, pinned by `fbuf::engine`'s differential
 //! test and `tests/counter_exactness.rs`.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
+use fbuf_sim::metrics::DirtySet;
 use fbuf_sim::{Clock, EventHeap, EventId, EventKind, Histogram, Ns, Stats, Tracer};
 use fbuf_vm::DomainId;
 
@@ -138,6 +140,9 @@ pub struct EventLoop<M> {
     overloads: u64,
     enqueued: u64,
     dequeued: u64,
+    /// Inboxes whose length changed since the telemetry sampler last
+    /// drained them ([`EventLoop::drain_changed_inboxes`]).
+    changed: RefCell<DirtySet>,
 }
 
 impl<M> EventLoop<M> {
@@ -156,6 +161,7 @@ impl<M> EventLoop<M> {
             overloads: 0,
             enqueued: 0,
             dequeued: 0,
+            changed: RefCell::new(DirtySet::default()),
         }
     }
 
@@ -202,6 +208,7 @@ impl<M> EventLoop<M> {
         }
         let now = self.clock.now();
         let id = self.heap.push(now, to);
+        self.changed.get_mut().mark(slot, 1);
         self.inboxes[slot].push_back(Envelope {
             from,
             to,
@@ -233,6 +240,7 @@ impl<M> EventLoop<M> {
         let env = self.inboxes[dom.0 as usize]
             .pop_front()
             .expect("a wake token always has a matching inbox entry");
+        self.changed.get_mut().mark(dom.0 as usize, 1);
         debug_assert_eq!(env.id, token.id, "tokens and envelopes stay FIFO-aligned");
         let delay = self.clock.now() - env.enqueued_at;
         self.queue_delay.record(delay.as_ns());
@@ -284,6 +292,15 @@ impl<M> EventLoop<M> {
         self.inboxes
             .get(dom.0 as usize)
             .map_or(0, VecDeque::len)
+    }
+
+    /// Hands `f` each domain whose inbox length changed since the last
+    /// call, once each: the dirty marks of a change-only telemetry
+    /// sampler, which reads [`EventLoop::inbox_len`] only for these.
+    pub fn drain_changed_inboxes(&self, mut f: impl FnMut(DomainId)) {
+        self.changed
+            .borrow_mut()
+            .drain(|d, _| f(DomainId(d as u32)));
     }
 
     /// Posts refused with [`SendOutcome::Overload`] so far.

@@ -675,9 +675,9 @@ mod tests {
         let m = metrics::Metrics::new();
         m.set_enabled(true);
         let row = m.register_row(None, &[], &["inbox0".to_string()]);
-        m.push_row(row, crate::Ns(10), 1, |v| v[0] = 3);
+        m.push_row(row, crate::Ns(10), |w| w.set(0, 3));
         m.advance(crate::Ns(20_000));
-        m.push_row(row, crate::Ns(20_000), 1, |v| v[0] = 5);
+        m.push_row(row, crate::Ns(20_000), |w| w.set(0, 5));
         let mut r = BenchRunner::named("with_telemetry", 1);
         r.measure("x", Unit::SimUs, || 1.0);
         r.telemetry(metrics::DEFAULT_CADENCE_NS, &m.series());
